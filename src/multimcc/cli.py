@@ -151,7 +151,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _read_input(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 

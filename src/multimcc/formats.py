@@ -48,6 +48,15 @@ _INT_RE = re.compile(r"[+-]?\d+\Z")
 
 _LABEL_PREFIX = "# classes:"
 
+# Counts are stored as int64, so the table total (and with it every cell,
+# none being negative) must fit.
+MAX_COUNT = int(np.iinfo(np.int64).max)
+
+
+def _count_overflow(where: str = "", **location: int) -> ParseError:
+    return ParseError("count_overflow",
+                      f"{where}counts add up past the int64 limit {MAX_COUNT}", **location)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -166,6 +175,7 @@ def parse_matrix_csv(text: str) -> ConfusionCounts2:
     labels: tuple[str, ...] | None = None
     rows: list[list[int]] = []
     row_lines: list[int] = []
+    total = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -191,11 +201,17 @@ def parse_matrix_csv(text: str) -> ConfusionCounts2:
                 raise ParseError("non_integer",
                                  f"cell {token!r} is not an integer",
                                  line=lineno, column=colno)
-            value = int(token)
+            try:
+                value = int(token)
+            except ValueError:      # more digits than int() converts
+                raise _count_overflow(line=lineno, column=colno) from None
             if value < 0:
                 raise ParseError("negative_cell",
                                  f"cell value {value} is negative",
                                  line=lineno, column=colno)
+            total += value
+            if total > MAX_COUNT:
+                raise _count_overflow(line=lineno, column=colno)
             cells.append(value)
         if rows and len(cells) != len(rows[0]):
             raise ParseError("ragged_rows",
@@ -240,7 +256,7 @@ def parse_joint_json(text: str) -> JointCounts3:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError("malformed_document", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("malformed_document", "expected a JSON object at top level")
@@ -263,12 +279,16 @@ def parse_joint_json(text: str) -> JointCounts3:
         labels = tuple(labels)
     cells = np.zeros((r, r, r), dtype=np.int64)
     seen: set[tuple[int, int, int]] = set()
+    total = 0
     for position, entry in enumerate(entries):
         i, j, k, count = _joint_entry(entry, position, r)
         if (i, j, k) in seen:
             raise ParseError("duplicate_cell",
                              f"counts[{position}]: cell ({i}, {j}, {k}) listed twice")
         seen.add((i, j, k))
+        total += count
+        if total > MAX_COUNT:
+            raise _count_overflow(f"counts[{position}]: ")
         cells[i - 1, j - 1, k - 1] = count
     return JointCounts3(cells, labels=labels)
 

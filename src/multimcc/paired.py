@@ -7,14 +7,17 @@ table is a linear marginal of the joint table (sum out the other method's
 axis), which has two consequences used throughout:
 
 * a metric of method m is the single-table metric composed with a linear
-  map, so its gradient in the joint cells is the single-table gradient of
-  the marginal table broadcast over the summed-out axis;
+  map, so its gradient in the joint cells is the r*r gradient of the
+  marginal table broadcast over the summed-out axis.  The broadcast stays a
+  view: no r*r*r gradient is ever stored, and the single-table
+  :func:`~multimcc.inference.gradient` is the only gradient code;
 * the two sqrt(n)-scaled metric estimates are jointly normal with a
   covariance ``cov`` that the difference variance must subtract twice.
 
 Intervals for the difference come as plain Wald or as Wald on the
 g(x) = 0.5*log((2+x)/(2-x)) scale, the analogue of the atanh transform for a
-quantity that lives in (-2, 2).
+quantity that lives in (-2, 2).  Both take the same raw-scale difference
+variance and differ only in the scale the interval is built on.
 """
 
 from __future__ import annotations
@@ -24,35 +27,29 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateMarginalError, ValidationError, ZeroTotalError
+from .errors import ValidationError, ZeroTotalError
 from .inference import (
+    TANH_INTERIOR,
+    VARIANCE_CLAMP,
     CIMethod,
     Gradient2,
     IntervalEstimate,
-    TANH_INTERIOR,
     _require_alpha,
-    grad_macro,
-    grad_micro,
-    grad_micro_star,
+    gradient,
     normal_quantile,
     variance_quadratic,
     wald_ci,
 )
-from .metrics import MetricKind, ProbTable2, estimate
+from .metrics import PROB_SUM_TOL, MetricKind, ProbTable2, estimate
 
 __all__ = [
     "MAX_JOINT_CLASSES",
     "JointCounts3",
     "ProbTable3",
-    "Gradient3",
     "PairedCovBlock",
     "PairedResult",
     "normalize_joint_counts",
     "marginalize",
-    "grad_macro_paired",
-    "grad_micro_paired",
-    "grad_micro_star_paired",
-    "paired_gradient",
     "paired_cov_block",
     "diff_variance",
     "diff_wald_ci",
@@ -63,11 +60,8 @@ __all__ = [
 # 8 bytes * 200**3 = 64 MB: the dense r**3 representation stops here.
 MAX_JOINT_CLASSES = 200
 
-VARIANCE_CLAMP = 1e-12
 CS_SLACK = 1e-10
 DIFF_CLAMP = 2.0 - 1e-10
-
-PROB_SUM_TOL = 1e-12
 
 
 def _checked_cube(cells: np.ndarray, what: str) -> np.ndarray:
@@ -140,24 +134,6 @@ class ProbTable3:
         return int(self.pi.shape[0])
 
 
-@dataclass(frozen=True, eq=False)
-class Gradient3:
-    """Partial derivatives of a scalar in the r*r*r joint cells."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = _checked_cube(np.array(self.values, dtype=float), "a joint gradient")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("gradient entries must be finite")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def r(self) -> int:
-        return int(self.values.shape[0])
-
-
 @dataclass(frozen=True)
 class PairedCovBlock:
     """Asymptotic second moments of the two sqrt(n)-scaled method metrics.
@@ -197,69 +173,31 @@ def normalize_joint_counts(counts: JointCounts3) -> ProbTable3:
     return ProbTable3(counts.cells / counts.n)
 
 
-def _check_method(method: int) -> None:
-    if method not in (1, 2):
-        raise ValidationError(f"method must be 1 or 2, got {method!r}")
-
-
 def marginalize(p3: ProbTable3, method: int) -> ProbTable2:
     """Confusion table of one method: sum the other method's axis out."""
-    _check_method(method)
+    if method not in (1, 2):
+        raise ValidationError(f"method must be 1 or 2, got {method!r}")
     cells = p3.pi.sum(axis=1) if method == 1 else p3.pi.sum(axis=0)
     return ProbTable2(cells)
 
 
-def _lift(table_grad: Gradient2, method: int, r: int) -> Gradient3:
+def _joint_views(grad_1: Gradient2, grad_2: Gradient2,
+                 p3: ProbTable3) -> tuple[np.ndarray, np.ndarray]:
     # Marginalization is linear, so the joint-cell partial at (i, j, k) equals
     # the marginal-table partial at (i, k) for method 1, or (j, k) for method 2.
-    a = table_grad.values
-    if method == 1:
-        cube = np.broadcast_to(a[:, None, :], (r, r, r))
-    else:
-        cube = np.broadcast_to(a[None, :, :], (r, r, r))
-    return Gradient3(np.ascontiguousarray(cube))
-
-
-def grad_macro_paired(p3: ProbTable3, method: int) -> Gradient3:
-    """Joint-cell gradient of the chosen method's macro average."""
-    _check_method(method)
-    return _lift(grad_macro(marginalize(p3, method)), method, p3.r)
-
-
-def grad_micro_paired(p3: ProbTable3, method: int) -> Gradient3:
-    """Joint-cell gradient of the chosen method's micro average.
-
-    Nonzero (= r/(r-1)) exactly on the cells where that method agrees with
-    the truth: i = k for method 1, j = k for method 2.
-    """
-    _check_method(method)
-    return _lift(grad_micro(marginalize(p3, method)), method, p3.r)
-
-
-def grad_micro_star_paired(p3: ProbTable3, method: int) -> Gradient3:
-    """Joint-cell gradient of the chosen method's indicator correlation."""
-    _check_method(method)
-    return _lift(grad_micro_star(marginalize(p3, method)), method, p3.r)
-
-
-def paired_gradient(p3: ProbTable3, kind: MetricKind, method: int) -> Gradient3:
-    """Dispatch over the three paired gradients."""
-    if kind is MetricKind.MACRO:
-        return grad_macro_paired(p3, method)
-    if kind is MetricKind.MICRO:
-        return grad_micro_paired(p3, method)
-    if kind is MetricKind.MICRO_STAR:
-        return grad_micro_star_paired(p3, method)
-    raise ValidationError(f"unknown metric kind: {kind!r}")
-
-
-def paired_cov_block(grad_1: Gradient3, grad_2: Gradient3, p3: ProbTable3) -> PairedCovBlock:
-    """Variances and covariance of the two metrics under joint sampling."""
     if not grad_1.r == grad_2.r == p3.r:
         raise ValidationError("gradients and table must share a class count")
+    return grad_1.values[:, None, :], grad_2.values[None, :, :]
+
+
+def paired_cov_block(grad_1: Gradient2, grad_2: Gradient2, p3: ProbTable3) -> PairedCovBlock:
+    """Variances and covariance of the two metrics under joint sampling.
+
+    ``grad_1`` and ``grad_2`` are the r*r gradients of each method's metric in
+    its own marginal table, as :func:`~multimcc.inference.gradient` returns them.
+    """
+    a, b = _joint_views(grad_1, grad_2, p3)
     pi = p3.pi
-    a = grad_1.values
-    b = grad_2.values
     mean_a = float((pi * a).sum())
     mean_b = float((pi * b).sum())
     var_1 = float((pi * a * a).sum()) - mean_a * mean_a
@@ -284,18 +222,44 @@ def diff_variance(block: PairedCovBlock, independent: bool = False) -> float:
     return max(v, 0.0)
 
 
+def _paired_moments(p3: ProbTable3,
+                    kind: MetricKind) -> tuple[float, float, PairedCovBlock, float]:
+    """Both estimates, their covariance block, and the difference variance.
+
+    The difference variance is the quadratic form of the difference gradient
+    itself, which avoids the cancellation in var_1 + var_2 - 2*cov.
+    """
+    table_1 = marginalize(p3, 1)
+    table_2 = marginalize(p3, 2)
+    est_1 = estimate(table_1, kind)
+    est_2 = estimate(table_2, kind)
+    grad_1 = gradient(table_1, kind)
+    grad_2 = gradient(table_2, kind)
+    a, b = _joint_views(grad_1, grad_2, p3)
+    return (est_1, est_2, paired_cov_block(grad_1, grad_2, p3),
+            variance_quadratic(a - b, p3.pi))
+
+
 def diff_wald_ci(diff: float, variance: float, n: int, alpha: float = 0.05) -> IntervalEstimate:
     """Plain Wald interval for the difference."""
     return replace(wald_ci(diff, variance, n, alpha), method=CIMethod.WALD_DIFF)
 
 
-def _g_interval(diff: float, var_diff: float, n: int, alpha: float,
-                flags: tuple[str, ...] = ()) -> IntervalEstimate:
+def diff_g_ci(diff: float, variance: float, n: int, alpha: float = 0.05) -> IntervalEstimate:
+    """Wald interval on the g scale, mapped back through 2*tanh.
+
+    ``variance`` is the raw-scale difference variance, as for
+    :func:`diff_wald_ci`; the reported variance is its g-scale image.
+    """
+    _require_alpha(alpha)
+    if variance < 0.0:
+        raise ValidationError(f"variance must be non-negative, got {variance!r}")
     d = float(diff)
+    flags: tuple[str, ...] = ()
     if abs(d) >= 2.0:
         d = math.copysign(DIFF_CLAMP, d)
-        flags = flags + ("degenerate_estimate",)
-    var_g = var_diff * (2.0 / (4.0 - d * d)) ** 2
+        flags = ("degenerate_estimate",)
+    var_g = variance * (2.0 / (4.0 - d * d)) ** 2
     z = normal_quantile(1.0 - alpha / 2.0)
     half = z * math.sqrt(var_g / n)
     center = 0.5 * math.log((2.0 + d) / (2.0 - d))
@@ -305,42 +269,17 @@ def _g_interval(diff: float, var_diff: float, n: int, alpha: float,
                             lower, upper, CIMethod.G_TRANSFORM, flags)
 
 
-def diff_g_ci(diff: float, grad_diff: Gradient3, p3: ProbTable3, n: int,
-              alpha: float = 0.05) -> IntervalEstimate:
-    """Wald interval on the g scale, mapped back through 2*tanh.
-
-    ``grad_diff`` is the joint-cell gradient of the difference (method-1
-    gradient minus method-2 gradient), whose quadratic form already carries
-    the -2*cov term.
-    """
-    _require_alpha(alpha)
-    if grad_diff.r != p3.r:
-        raise ValidationError("gradient and table must share a class count")
-    return _g_interval(diff, variance_quadratic(grad_diff.values, p3.pi), n, alpha)
-
-
 def paired_inference(counts: JointCounts3, kind: MetricKind,
                      method: CIMethod = CIMethod.WALD_DIFF, alpha: float = 0.05,
                      independent: bool = False) -> PairedResult:
     """Full pipeline from joint counts to a difference interval."""
-    p3 = normalize_joint_counts(counts)
-    table_1 = marginalize(p3, 1)
-    table_2 = marginalize(p3, 2)
-    est_1 = estimate(table_1, kind)
-    est_2 = estimate(table_2, kind)
-    diff = est_1 - est_2
-    grad_1 = paired_gradient(p3, kind, 1)
-    grad_2 = paired_gradient(p3, kind, 2)
-    block = paired_cov_block(grad_1, grad_2, p3)
-    if method is CIMethod.WALD_DIFF:
-        ci = diff_wald_ci(diff, diff_variance(block, independent), counts.n, alpha)
-    elif method is CIMethod.G_TRANSFORM:
-        if independent:
-            ci = _g_interval(diff, diff_variance(block, independent=True), counts.n, alpha)
-        else:
-            ci = diff_g_ci(diff, Gradient3(grad_1.values - grad_2.values), p3,
-                           counts.n, alpha)
-    else:
+    if method not in (CIMethod.WALD_DIFF, CIMethod.G_TRANSFORM):
         raise ValidationError(
             f"paired inference supports WALD_DIFF or G_TRANSFORM, got {method!r}")
+    est_1, est_2, block, var_diff = _paired_moments(normalize_joint_counts(counts), kind)
+    diff = est_1 - est_2
+    if independent:
+        var_diff = diff_variance(block, independent=True)
+    interval = diff_wald_ci if method is CIMethod.WALD_DIFF else diff_g_ci
+    ci = interval(diff, var_diff, counts.n, alpha)
     return PairedResult(est_1, est_2, diff, ci, block)

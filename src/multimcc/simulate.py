@@ -47,16 +47,13 @@ from .inference import (
 )
 from .metrics import ConfusionCounts2, MetricKind, ProbTable2, estimate, normalize_counts
 from .paired import (
-    Gradient3,
     JointCounts3,
     ProbTable3,
+    _paired_moments,
     diff_g_ci,
-    diff_variance,
     diff_wald_ci,
     marginalize,
     normalize_joint_counts,
-    paired_cov_block,
-    paired_gradient,
 )
 
 __all__ = [
@@ -323,31 +320,25 @@ def _paired_replicate(cube: np.ndarray, scenario: Scenario,
                       cells: Sequence[tuple[MetricKind, CIMethod]], n: int,
                       alpha: float) -> list[tuple[bool, float, bool]]:
     p3 = normalize_joint_counts(JointCounts3(cube))
-    table_1 = marginalize(p3, 1)
-    table_2 = marginalize(p3, 2)
-    cache: dict[MetricKind, tuple[float, float, Gradient3] | None] = {}
+    cache: dict[MetricKind, tuple[float, float] | None] = {}
     out = []
     for metric, method in cells:
         if metric not in cache:
             try:
-                diff = estimate(table_1, metric) - estimate(table_2, metric)
-                grad_1 = paired_gradient(p3, metric, 1)
-                grad_2 = paired_gradient(p3, metric, 2)
-                block = paired_cov_block(grad_1, grad_2, p3)
-                grad_diff = Gradient3(grad_1.values - grad_2.values)
-                cache[metric] = (diff, diff_variance(block), grad_diff)
+                est_1, est_2, _, var_diff = _paired_moments(p3, metric)
+                cache[metric] = (est_1 - est_2, var_diff)
             except DegenerateMarginalError:
                 cache[metric] = None
         state = cache[metric]
         if state is None:
             out.append((False, math.nan, True))
             continue
-        diff, var_diff, grad_diff = state
+        diff, var_diff = state
         if method is CIMethod.WALD_DIFF:
             ci = diff_wald_ci(diff, var_diff, n, alpha)
             degenerate = abs(diff) >= 2.0
         else:
-            ci = diff_g_ci(diff, grad_diff, p3, n, alpha)
+            ci = diff_g_ci(diff, var_diff, n, alpha)
             degenerate = "degenerate_estimate" in ci.flags
         true = scenario.true_value(metric)
         out.append((ci.lower <= true <= ci.upper, ci.width, degenerate))

@@ -32,6 +32,18 @@ def project_gradient(values: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return values - float((pi * values).sum())
 
 
+def lift_marginal_gradient(values: np.ndarray, method: int) -> np.ndarray:
+    """Joint-cell gradient of one method's metric from its r*r marginal gradient.
+
+    Method 1's table sums out axis 1 of the joint table and method 2's sums
+    out axis 0, so cell (i, j, k) gets the marginal partial at (i, k) or
+    (j, k).  Built as an explicit copy, one slice per summed-out index.
+    """
+    r = values.shape[0]
+    axis = 1 if method == 1 else 0
+    return np.stack([values] * r, axis=axis)
+
+
 def fd_relative_error(metric_fn, analytic: np.ndarray, pi: np.ndarray) -> float:
     projected = project_gradient(analytic, pi)
     fd = fd_gradient(metric_fn, pi)

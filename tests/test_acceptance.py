@@ -36,7 +36,6 @@ from multimcc import (
     micro_star_mcc,
     normalize_counts,
     paired_cov_block,
-    paired_gradient,
     paired_inference,
     run_coverage_grid,
     scenario_by_name,
@@ -46,6 +45,7 @@ from multimcc.formats import parse_matrix_csv
 from helpers import (
     fd_gradient,
     fd_relative_error,
+    lift_marginal_gradient,
     project_gradient,
     random_paired_table,
     random_single_table,
@@ -256,7 +256,8 @@ def test_criterion_6_gradient_oracle():
                 p3 = ProbTable3(cube)
                 for kind, fn in METRIC_FNS.items():
                     for method, axis in ((1, 1), (2, 0)):
-                        analytic = paired_gradient(p3, kind, method).values
+                        analytic = lift_marginal_gradient(
+                            gradient(marginalize(p3, method), kind).values, method)
                         projected = project_gradient(analytic, cube)
                         fd = fd_gradient(
                             lambda m, fn=fn, axis=axis: fn(ProbTable2(m.sum(axis=axis))),
@@ -265,8 +266,8 @@ def test_criterion_6_gradient_oracle():
                                     / np.max(np.abs(projected)))
                         worst = max(worst, err)
                 block = paired_cov_block(
-                    paired_gradient(p3, MetricKind.MICRO, 1),
-                    paired_gradient(p3, MetricKind.MICRO, 2), p3)
+                    gradient(marginalize(p3, 1), MetricKind.MICRO),
+                    gradient(marginalize(p3, 2), MetricKind.MICRO), p3)
                 c = r / (r - 1.0)
                 acc1 = float(np.einsum("iji->", cube))
                 acc2 = float(np.einsum("ijj->", cube))
@@ -317,8 +318,8 @@ def test_criterion_7_variance_consistency():
         est_1 = batch_metrics(cubes.sum(axis=2))
         est_2 = batch_metrics(cubes.sum(axis=1))
         for kind in MetricKind:
-            block = paired_cov_block(paired_gradient(paired, kind, 1),
-                                     paired_gradient(paired, kind, 2), paired)
+            block = paired_cov_block(gradient(marginalize(paired, 1), kind),
+                                     gradient(marginalize(paired, 2), kind), paired)
             analytic = diff_variance(block)
             diffs = est_1[kind] - est_2[kind]
             empirical = CONSISTENCY_N * float(np.var(diffs, ddof=1))
@@ -378,8 +379,8 @@ def test_criterion_8_structural_invariants():
         for _ in range(30):
             p3 = ProbTable3(random_paired_table(rng, 3))
             for kind in MetricKind:
-                block = paired_cov_block(paired_gradient(p3, kind, 1),
-                                         paired_gradient(p3, kind, 2), p3)
+                block = paired_cov_block(gradient(marginalize(p3, 1), kind),
+                                         gradient(marginalize(p3, 2), kind), p3)
                 assert abs(block.cov) <= math.sqrt(block.var_1 * block.var_2) + 1e-10
         with pytest.raises(ValidationError):
             PairedCovBlock(1.0, 1.0, 1.5)

@@ -188,6 +188,43 @@ def test_missing_input_file_is_exit_2(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_non_utf8_input_file_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("# classes: caf\xe9, th\xe9\n1,2\n3,4\n".encode("latin-1"))
+    code, out, err = run(capsys, "estimate", "--input", str(path))
+    assert code == 2
+    assert "cannot read" in err
+    assert out == ""
+
+
+def assert_count_overflow(capsys, command, path, line=None, column=None):
+    code, out, err = run(capsys, command, "--input", str(path), "--format", "json")
+    assert code == 2
+    assert "[count_overflow]" in err
+    error = json.loads(out)["error"]
+    assert (error["code"], error["line"], error["column"]) == (
+        "count_overflow", line, column)
+
+
+def test_csv_cell_above_int64_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("1,1\n99999999999999999999,1\n")
+    assert_count_overflow(capsys, "estimate", path, line=2, column=1)
+
+
+def test_csv_total_above_int64_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "wraps.csv"
+    path.write_text("9223372036854775807,1\n1,1\n")
+    assert_count_overflow(capsys, "estimate", path, line=1, column=2)
+
+
+def test_joint_count_above_int64_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"r": 2, "counts": [[1, 1, 1, 99999999999999999999],
+                                                   [2, 2, 2, 1]]}))
+    assert_count_overflow(capsys, "paired-diff", path)
+
+
 def test_degenerate_marginal_is_exit_3(capsys, tmp_path):
     path = tmp_path / "deg.csv"
     path.write_text("5,0,0\n0,5,0\n0,0,0\n")

@@ -151,6 +151,20 @@ def test_joint_json_error_codes():
                 json.dumps({"r": 2, "counts": [[1, 1, 1, 5], [1, 1, 1, 6]]}))
 
 
+def test_joint_json_deep_nesting_is_malformed():
+    parse_error("malformed_document", parse_joint_json, "[" * 200000)
+
+
+def test_parsers_reject_counts_beyond_int64():
+    parse_error("count_overflow", parse_matrix_csv, "1," + "9" * 5000 + "\n1,1\n")
+    parse_error("count_overflow", parse_joint_json,
+                json.dumps({"r": 2, "counts": [[1, 1, 1, 2 ** 62], [1, 1, 2, 2 ** 62]]}))
+    with pytest.raises(ParseError):     # json refuses the literal on Python >= 3.11
+        parse_joint_json('{"r": 2, "counts": [[1, 1, 1, ' + "9" * 5000 + ']]}')
+    largest = parse_matrix_csv(f"{2 ** 63 - 2},0\n0,1\n")
+    assert largest.n == 2 ** 63 - 1
+
+
 def test_joint_json_round_trip_through_inference():
     cube = np.rint(scenario_by_name("paired-1").truth.pi * 300).astype(int)
     entries = [[i + 1, j + 1, k + 1, int(cube[i, j, k])]

@@ -1,4 +1,4 @@
-"""Joint-table tests: lifted gradients, covariance blocks, difference intervals."""
+"""Joint-table tests: broadcast gradients, covariance blocks, difference intervals."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from multimcc import (
     CIMethod,
-    Gradient3,
     JointCounts3,
     MetricKind,
     PairedCovBlock,
@@ -18,7 +17,7 @@ from multimcc import (
     diff_variance,
     diff_wald_ci,
     estimate,
-    grad_micro_paired,
+    gradient,
     macro_mcc,
     marginalize,
     micro_mcc,
@@ -26,13 +25,17 @@ from multimcc import (
     normal_quantile,
     normalize_joint_counts,
     paired_cov_block,
-    paired_gradient,
     paired_inference,
     variance_quadratic,
     wald_ci,
 )
 from multimcc.metrics import ProbTable2
-from helpers import fd_gradient, project_gradient, random_paired_table
+from helpers import (
+    fd_gradient,
+    lift_marginal_gradient,
+    project_gradient,
+    random_paired_table,
+)
 
 EXACT_TOL = 1e-12
 FD_TOL = 1e-6
@@ -43,6 +46,14 @@ METRIC_FNS = {
     MetricKind.MICRO: micro_mcc,
     MetricKind.MICRO_STAR: micro_star_mcc,
 }
+
+
+def marginal_gradients(p3: ProbTable3, kind: MetricKind):
+    return (gradient(marginalize(p3, 1), kind), gradient(marginalize(p3, 2), kind))
+
+
+def lifted(p3: ProbTable3, kind: MetricKind, method: int) -> np.ndarray:
+    return lift_marginal_gradient(gradient(marginalize(p3, method), kind).values, method)
 
 
 def perfect_vs_wrong_counts() -> JointCounts3:
@@ -117,7 +128,7 @@ def test_paired_gradients_match_finite_differences():
             p3 = ProbTable3(cube)
             for kind, fn in METRIC_FNS.items():
                 for method, axis in ((1, 1), (2, 0)):
-                    analytic = paired_gradient(p3, kind, method).values
+                    analytic = lifted(p3, kind, method)
                     projected = project_gradient(analytic, cube)
                     fd = fd_gradient(
                         lambda m, fn=fn, axis=axis: fn(ProbTable2(m.sum(axis=axis))),
@@ -133,8 +144,7 @@ def test_micro_cov_block_closed_form():
         for _ in range(10):
             cube = random_paired_table(rng, r)
             p3 = ProbTable3(cube)
-            block = paired_cov_block(grad_micro_paired(p3, 1),
-                                     grad_micro_paired(p3, 2), p3)
+            block = paired_cov_block(*marginal_gradients(p3, MetricKind.MICRO), p3)
             c = r / (r - 1.0)
             acc1 = float(np.einsum("iji->", cube))
             acc2 = float(np.einsum("ijj->", cube))
@@ -145,6 +155,36 @@ def test_micro_cov_block_closed_form():
                                 abs_tol=EXACT_TOL)
             assert math.isclose(block.cov, c * c * (triple - acc1 * acc2),
                                 abs_tol=EXACT_TOL)
+
+
+def test_cov_block_matches_lifted_quadratic_forms():
+    rng = np.random.default_rng(20260426)
+    for r in (2, 3, 4):
+        for _ in range(5):
+            cube = random_paired_table(rng, r)
+            p3 = ProbTable3(cube)
+            for kind in MetricKind:
+                block = paired_cov_block(*marginal_gradients(p3, kind), p3)
+                a = lifted(p3, kind, 1)
+                b = lifted(p3, kind, 2)
+                mean_a = float((cube * a).sum())
+                mean_b = float((cube * b).sum())
+                assert math.isclose(block.var_1, variance_quadratic(a, cube),
+                                    abs_tol=EXACT_TOL)
+                assert math.isclose(block.var_2, variance_quadratic(b, cube),
+                                    abs_tol=EXACT_TOL)
+                assert math.isclose(block.cov,
+                                    float((cube * a * b).sum()) - mean_a * mean_b,
+                                    abs_tol=EXACT_TOL)
+
+
+def test_cov_block_rejects_mismatched_class_count():
+    p3 = ProbTable3(random_paired_table(np.random.default_rng(20260423), 3))
+    grad_1, _ = marginal_gradients(p3, MetricKind.MICRO)
+    small = gradient(marginalize(ProbTable3(np.full((2, 2, 2), 0.125)), 2),
+                     MetricKind.MICRO)
+    with pytest.raises(ValidationError):
+        paired_cov_block(grad_1, small, p3)
 
 
 def test_cov_block_validates_cauchy_schwarz():
@@ -174,12 +214,10 @@ def test_g_transform_identity_and_recompute():
     for _ in range(10):
         cube = random_paired_table(rng, 3)
         p3 = ProbTable3(cube)
-        g1 = paired_gradient(p3, MetricKind.MACRO, 1)
-        g2 = paired_gradient(p3, MetricKind.MACRO, 2)
         diff = macro_mcc(marginalize(p3, 1)) - macro_mcc(marginalize(p3, 2))
-        grad_diff = Gradient3(g1.values - g2.values)
-        ci = diff_g_ci(diff, grad_diff, p3, 300)
-        var_diff = variance_quadratic(grad_diff.values, cube)
+        grad_diff = lifted(p3, MetricKind.MACRO, 1) - lifted(p3, MetricKind.MACRO, 2)
+        var_diff = variance_quadratic(grad_diff, cube)
+        ci = diff_g_ci(diff, var_diff, 300)
         var_g = var_diff * (2.0 / (4.0 - diff * diff)) ** 2
         half = normal_quantile(0.975) * math.sqrt(var_g / 300.0)
         center = 0.5 * math.log((2.0 + diff) / (2.0 - diff))
@@ -199,12 +237,9 @@ def test_g_transform_flags_boundary_difference():
     assert -2.0 < result.interval.lower <= result.interval.upper < 2.0
 
 
-def test_diff_g_ci_rejects_mismatched_table():
-    cube = random_paired_table(np.random.default_rng(20260423), 3)
-    p3 = ProbTable3(cube)
-    grad = Gradient3(np.zeros((2, 2, 2)))
+def test_diff_g_ci_rejects_negative_variance():
     with pytest.raises(ValidationError):
-        diff_g_ci(0.1, grad, p3, 100)
+        diff_g_ci(0.1, -1e-3, 100)
 
 
 def test_paired_inference_composes_the_pipeline():
@@ -220,9 +255,11 @@ def test_paired_inference_composes_the_pipeline():
         assert result.estimate_1 == est_1
         assert result.estimate_2 == est_2
         assert math.isclose(result.difference, est_1 - est_2, abs_tol=EXACT_TOL)
-        block = paired_cov_block(paired_gradient(p3, kind, 1),
-                                 paired_gradient(p3, kind, 2), p3)
-        direct = diff_wald_ci(result.difference, diff_variance(block), counts.n)
+        assert result.block == paired_cov_block(*marginal_gradients(p3, kind), p3)
+        grad_diff = lifted(p3, kind, 1) - lifted(p3, kind, 2)
+        direct = diff_wald_ci(result.difference, variance_quadratic(grad_diff, p3.pi),
+                              counts.n)
+        assert result.interval.variance == direct.variance
         assert result.interval.lower == direct.lower
         assert result.interval.upper == direct.upper
 
@@ -238,6 +275,25 @@ def test_paired_inference_independent_drops_covariance():
                                  independent=True)
         sign = 1.0 if paired.block.cov > 0.0 else -1.0
         assert sign * (indep.interval.width - paired.interval.width) > 0.0
+
+
+def test_wald_and_g_share_the_difference_variance():
+    rng = np.random.default_rng(20260427)
+    for r in (2, 3, 4):
+        for _ in range(5):
+            cube = np.round(random_paired_table(rng, r) * 400 * r).astype(np.int64) + 1
+            counts = JointCounts3(cube)
+            for kind in MetricKind:
+                for independent in (False, True):
+                    wald = paired_inference(counts, kind, CIMethod.WALD_DIFF,
+                                            independent=independent)
+                    g = paired_inference(counts, kind, CIMethod.G_TRANSFORM,
+                                         independent=independent)
+                    var_diff = wald.interval.variance
+                    if independent:
+                        assert var_diff == diff_variance(wald.block, independent=True)
+                    d = g.difference
+                    assert g.interval.variance == var_diff * (2.0 / (4.0 - d * d)) ** 2
 
 
 def test_paired_inference_rejects_single_table_methods():
