@@ -23,7 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMarginalError, InvalidAlphaError, ValidationError
-from .metrics import ConfusionCounts2, MetricKind, ProbTable2, estimate, normalize_counts
+from .metrics import (
+    ConfusionCounts2,
+    MetricKind,
+    ProbTable2,
+    _row_dot,
+    _stack_marginals,
+    estimate,
+    normalize_counts,
+)
 
 __all__ = [
     "CIMethod",
@@ -121,6 +129,21 @@ class IntervalEstimate:
     @property
     def width(self) -> float:
         return self.upper - self.lower
+
+
+def _check_interval_stack(estimate: np.ndarray, variance: np.ndarray, lower: np.ndarray,
+                          upper: np.ndarray, method: CIMethod) -> None:
+    """The checks of :class:`IntervalEstimate` on arrays of intervals.
+
+    Alpha and n are the same for the whole stack and are checked by the caller.
+    """
+    if not np.all(variance >= 0.0):
+        raise ValidationError("variance must be non-negative")
+    if not np.all((lower - _BOUND_SLACK <= estimate) & (estimate <= upper + _BOUND_SLACK)):
+        raise ValidationError("interval does not bracket its estimate")
+    limit = {CIMethod.FISHER_Z: 1.0, CIMethod.G_TRANSFORM: 2.0}.get(method)
+    if limit is not None and not np.all((-limit < lower) & (lower <= upper) & (upper < limit)):
+        raise ValidationError(f"transformed intervals must stay inside (-{limit:g}, {limit:g})")
 
 
 # Rational approximation of the normal inverse CDF (Acklam's coefficients),
@@ -225,6 +248,49 @@ def gradient(p: ProbTable2, kind: MetricKind) -> Gradient2:
     raise ValidationError(f"unknown metric kind: {kind!r}")
 
 
+def _gradient_stack(p: np.ndarray, kind: MetricKind) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gradient` of every table in an (m, r, r) probability stack.
+
+    Returns ``(values, undefined)``.  ``undefined[k]`` is true exactly where
+    the scalar gradient raises :class:`DegenerateMarginalError` on table k
+    (which covers every table the estimator rejects), and ``values[k]`` then
+    means nothing.  Every other entry repeats the scalar float operations in
+    order and is bit-identical to ``gradient(ProbTable2(p[k]), kind).values``.
+    """
+    m, r = p.shape[0], p.shape[-1]
+    u, v, diag = _stack_marginals(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind is MetricKind.MACRO:
+            undefined = ((u <= 0.0) | (u >= 1.0) | (v <= 0.0) | (v >= 1.0)).any(axis=-1)
+            num = diag - u * v
+            q = u * v * (1.0 - u) * (1.0 - v)
+            scale = 1.0 / np.sqrt(q)
+            curv = num / (2.0 * q * np.sqrt(q))
+            row_part = -v * scale - curv * v * (1.0 - v) * (1.0 - 2.0 * u)
+            col_part = -u * scale - curv * u * (1.0 - u) * (1.0 - 2.0 * v)
+            on_diag = np.zeros((m, r, r))
+            on_diag.reshape(m, r * r)[:, ::r + 1] = scale
+            values = (row_part[:, :, None] + col_part[:, None, :] + on_diag) / r
+        elif kind is MetricKind.MICRO:
+            undefined = np.zeros(m, dtype=bool)
+            values = np.broadcast_to(np.eye(r) * (r / (r - 1.0)), (m, r, r))
+        elif kind is MetricKind.MICRO_STAR:
+            var_pred = 1.0 - _row_dot(u, u)
+            var_truth = 1.0 - _row_dot(v, v)
+            undefined = (var_pred <= 0.0) | (var_truth <= 0.0)
+            cov = (diag.sum(axis=-1) - _row_dot(u, v))[:, None, None]
+            denom = np.sqrt(var_pred * var_truth)[:, None, None]
+            base = (np.eye(r) - v[:, :, None] - u[:, None, :]) / denom
+            bulge = cov * (u[:, :, None] / (denom * var_pred[:, None, None])
+                           + v[:, None, :] / (denom * var_truth[:, None, None]))
+            values = base + bulge
+        else:
+            raise ValidationError(f"unknown metric kind: {kind!r}")
+    if not np.all(np.isfinite(values[~undefined])):
+        raise ValidationError("gradient entries must be finite")
+    return values, undefined
+
+
 def variance_quadratic(values: np.ndarray, pi: np.ndarray) -> float:
     """The multinomial sandwich sum(pi a^2) - (sum(pi a))^2, clamped at 0.
 
@@ -244,6 +310,24 @@ def asymptotic_variance(grad: Gradient2, p: ProbTable2) -> float:
     return variance_quadratic(grad.values, p.pi)
 
 
+def _stack_sum(x: np.ndarray) -> np.ndarray:
+    """``x[k].sum()`` for every k: one contiguous row each, summed in the same order."""
+    return x.reshape(x.shape[0], math.prod(x.shape[1:])).sum(axis=1)
+
+
+def _variance_stack(values: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """:func:`variance_quadratic` of every entry of a stack.
+
+    ``values`` broadcasts against ``pi``, whose first axis indexes the stack;
+    each entry is bit-identical to the scalar form on that entry.
+    """
+    mean = _stack_sum(pi * values)
+    raw = _stack_sum(pi * values * values) - mean * mean
+    if np.any(raw < -VARIANCE_CLAMP):
+        raise ValidationError(f"variance quadratic form produced {raw.min()!r}")
+    return np.where(0.0 > raw, 0.0, raw)
+
+
 def wald_ci(estimate: float, variance: float, n: int, alpha: float = 0.05) -> IntervalEstimate:
     """Plain Wald interval; bounds are deliberately not clipped to [-1, 1]."""
     _require_alpha(alpha)
@@ -260,20 +344,31 @@ def fisher_z_ci(estimate: float, grad: Gradient2, p: ProbTable2, n: int,
                 alpha: float = 0.05) -> IntervalEstimate:
     """Wald interval on the atanh scale, mapped back through tanh."""
     _require_alpha(alpha)
-    est = float(estimate)
-    flags: tuple[str, ...] = ()
-    if abs(est) >= 1.0:
+    est, var_z, lower, upper, clamped = _fisher_z_bounds(
+        float(estimate), asymptotic_variance(grad, p), n, normal_quantile(1.0 - alpha / 2.0))
+    flags = ("degenerate_estimate",) if clamped else ()
+    return IntervalEstimate(est, var_z, int(n), float(alpha),
+                            lower, upper, CIMethod.FISHER_Z, flags)
+
+
+def _fisher_z_bounds(est: float, base: float, n: int,
+                     z: float) -> tuple[float, float, float, float, bool]:
+    """One atanh-scale interval in plain floats.
+
+    Returns the estimate (clamped inside (-1, 1) when it sat on the
+    boundary), the atanh-scale variance, both bounds, and whether the clamp
+    applied.  ``math`` rather than numpy: their atanh and tanh differ in the
+    last bit on many inputs.
+    """
+    clamped = abs(est) >= 1.0
+    if clamped:
         est = math.copysign(ESTIMATE_CLAMP, est)
-        flags = ("degenerate_estimate",)
-    base = asymptotic_variance(grad, p)
     var_z = base / (1.0 - est * est) ** 2
-    z = normal_quantile(1.0 - alpha / 2.0)
     half = z * math.sqrt(var_z / n)
     center = math.atanh(est)
     lower = max(math.tanh(center - half), -TANH_INTERIOR)
     upper = min(math.tanh(center + half), TANH_INTERIOR)
-    return IntervalEstimate(est, var_z, int(n), float(alpha),
-                            lower, upper, CIMethod.FISHER_Z, flags)
+    return est, var_z, lower, upper, clamped
 
 
 def single_inference(counts: ConfusionCounts2, kind: MetricKind,

@@ -34,13 +34,16 @@ from .inference import (
     CIMethod,
     Gradient2,
     IntervalEstimate,
+    _gradient_stack,
     _require_alpha,
+    _stack_sum,
+    _variance_stack,
     gradient,
     normal_quantile,
     variance_quadratic,
     wald_ci,
 )
-from .metrics import PROB_SUM_TOL, MetricKind, ProbTable2, estimate
+from .metrics import PROB_SUM_TOL, MetricKind, ProbTable2, _estimate_stack, estimate
 
 __all__ = [
     "MAX_JOINT_CLASSES",
@@ -240,6 +243,40 @@ def _paired_moments(p3: ProbTable3,
             variance_quadratic(a - b, p3.pi))
 
 
+def _paired_moments_stack(p3: np.ndarray,
+                          kind: MetricKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_paired_moments` of every table in an (m, r, r, r) stack.
+
+    Returns ``(undefined, diff, var_diff)``.  ``undefined[k]`` is true where
+    the scalar core raises :class:`DegenerateMarginalError` on table k;
+    ``diff`` (est_1 - est_2) and ``var_diff`` hold the other tables, in
+    order, each bit-identical to the scalar result.  The covariance block is
+    computed and checked as :func:`paired_cov_block` does, then dropped.
+    """
+    tables = [p3.sum(axis=2), p3.sum(axis=1)]
+    (grad_1, bad_1), (grad_2, bad_2) = (_gradient_stack(t, kind) for t in tables)
+    undefined = bad_1 | bad_2
+    if undefined.any():
+        ok = ~undefined
+        p3, grad_1, grad_2 = p3[ok], grad_1[ok], grad_2[ok]
+        tables = [t[ok] for t in tables]
+    diff = _estimate_stack(tables[0], kind) - _estimate_stack(tables[1], kind)
+    a = grad_1[:, :, None, :]
+    b = grad_2[:, None, :, :]
+    mean_a = _stack_sum(p3 * a)
+    mean_b = _stack_sum(p3 * b)
+    var_1 = _stack_sum(p3 * a * a) - mean_a * mean_a
+    var_2 = _stack_sum(p3 * b * b) - mean_b * mean_b
+    cov = _stack_sum(p3 * a * b) - mean_a * mean_b
+    if np.any(var_1 < -VARIANCE_CLAMP) or np.any(var_2 < -VARIANCE_CLAMP):
+        raise ValidationError("variance quadratic form went negative")
+    var_1 = np.where(0.0 > var_1, 0.0, var_1)
+    var_2 = np.where(0.0 > var_2, 0.0, var_2)
+    if np.any(np.abs(cov) > np.sqrt(var_1 * var_2) + CS_SLACK):
+        raise ValidationError("covariance violates the Cauchy-Schwarz bound")
+    return undefined, diff, _variance_stack(a - b, p3)
+
+
 def diff_wald_ci(diff: float, variance: float, n: int, alpha: float = 0.05) -> IntervalEstimate:
     """Plain Wald interval for the difference."""
     return replace(wald_ci(diff, variance, n, alpha), method=CIMethod.WALD_DIFF)
@@ -254,19 +291,31 @@ def diff_g_ci(diff: float, variance: float, n: int, alpha: float = 0.05) -> Inte
     _require_alpha(alpha)
     if variance < 0.0:
         raise ValidationError(f"variance must be non-negative, got {variance!r}")
-    d = float(diff)
-    flags: tuple[str, ...] = ()
-    if abs(d) >= 2.0:
+    d, var_g, lower, upper, clamped = _g_bounds(
+        float(diff), variance, n, normal_quantile(1.0 - alpha / 2.0))
+    flags = ("degenerate_estimate",) if clamped else ()
+    return IntervalEstimate(d, var_g, int(n), float(alpha),
+                            lower, upper, CIMethod.G_TRANSFORM, flags)
+
+
+def _g_bounds(d: float, variance: float, n: int,
+              z: float) -> tuple[float, float, float, float, bool]:
+    """One g-scale interval in plain floats.
+
+    Returns the difference (clamped inside (-2, 2) when it sat on the
+    boundary), the g-scale variance, both bounds, and whether the clamp
+    applied.  ``math`` rather than numpy, whose log and tanh differ from it
+    in the last bit on some inputs.
+    """
+    clamped = abs(d) >= 2.0
+    if clamped:
         d = math.copysign(DIFF_CLAMP, d)
-        flags = ("degenerate_estimate",)
     var_g = variance * (2.0 / (4.0 - d * d)) ** 2
-    z = normal_quantile(1.0 - alpha / 2.0)
     half = z * math.sqrt(var_g / n)
     center = 0.5 * math.log((2.0 + d) / (2.0 - d))
     lower = max(2.0 * math.tanh(center - half), -2.0 * TANH_INTERIOR)
     upper = min(2.0 * math.tanh(center + half), 2.0 * TANH_INTERIOR)
-    return IntervalEstimate(d, var_g, int(n), float(alpha),
-                            lower, upper, CIMethod.G_TRANSFORM, flags)
+    return d, var_g, lower, upper, clamped
 
 
 def paired_inference(counts: JointCounts3, kind: MetricKind,

@@ -7,10 +7,20 @@ interval pipeline, and records whether the interval contains the true value.
 Coverage close to the nominal level over many replicates is the end-to-end
 check that the estimators, gradients, and interval transforms agree.
 
+Replicates run in chunks of ``CHUNK_REPS``: the chunk's tables are drawn into
+one (reps, r, r) or (reps, r, r, r) stack, and each pipeline stage runs once
+over the stack through the stacked kernels next to the scalar functions
+(``_estimate_stack``, ``_gradient_stack``, ``_variance_stack``,
+``_paired_moments_stack``).  Those repeat the scalar float operations in
+order, and the transformed interval bounds go through the same float helper
+as ``fisher_z_ci`` and ``diff_g_ci``, so every replicate's interval is
+bit-identical to what ``single_inference`` or ``paired_inference`` returns
+for its table.
+
 Replicates are mutually independent: replicate index ``rep`` always uses the
 counter-based stream keyed by ``(seed, rep)``, so any partition of the index
-range over any number of worker processes reproduces the serial run bit for
-bit.
+range into chunks or over any number of worker processes reproduces the
+serial run bit for bit.
 
 Sampled tables can be degenerate (an empty class, or an estimate pinned to
 the boundary).  Such replicates never abort a run; they are tallied and
@@ -23,38 +33,25 @@ from __future__ import annotations
 
 import enum
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateMarginalError,
-    InvalidProbabilitiesError,
-    ValidationError,
-)
+from .errors import InvalidProbabilitiesError, ValidationError
 from .inference import (
     CIMethod,
-    Gradient2,
+    _check_interval_stack,
+    _fisher_z_bounds,
+    _gradient_stack,
     _require_alpha,
-    asymptotic_variance,
-    fisher_z_ci,
-    gradient,
-    wald_ci,
+    _variance_stack,
+    normal_quantile,
 )
-from .metrics import ConfusionCounts2, MetricKind, ProbTable2, estimate, normalize_counts
-from .paired import (
-    JointCounts3,
-    ProbTable3,
-    _paired_moments,
-    diff_g_ci,
-    diff_wald_ci,
-    marginalize,
-    normalize_joint_counts,
-)
+from .metrics import MetricKind, ProbTable2, _estimate_stack, estimate
+from .paired import ProbTable3, _g_bounds, _paired_moments_stack, marginalize
 
 __all__ = [
     "ScenarioKind",
@@ -72,6 +69,9 @@ __all__ = [
 TRUE_VALUE_TOL = 1e-12
 
 MAX_SEED = 2 ** 64
+
+# Replicates per vectorised pass; bounds the stack temporaries at large reps.
+CHUNK_REPS = 4096
 
 
 class ScenarioKind(enum.Enum):
@@ -182,9 +182,9 @@ def sample_multinomial(probabilities: np.ndarray, n: int,
                        rng: np.random.Generator) -> np.ndarray:
     """One Multinomial(n, probabilities) draw as an int64 count vector.
 
-    Sampling walks the cells once, drawing each count from the binomial
-    conditional on what earlier cells consumed; this is the exact joint
-    distribution, not an approximation, and costs one binomial draw per cell.
+    ``Generator.multinomial`` walks the cells once, drawing each count from
+    the binomial conditional on what earlier cells consumed; this is the
+    exact joint distribution, not an approximation.
     """
     p = np.asarray(probabilities, dtype=float).ravel()
     if p.size < 1:
@@ -196,21 +196,8 @@ def sample_multinomial(probabilities: np.ndarray, n: int,
         raise InvalidProbabilitiesError(f"cell probabilities sum to {total!r}, not 1")
     if n < 1:
         raise ValidationError(f"sample size must be at least 1, got {n}")
-    counts = np.zeros(p.size, dtype=np.int64)
-    remaining = int(n)
-    mass_left = 1.0
-    for i in range(p.size - 1):
-        if remaining == 0:
-            break
-        share = p[i] / mass_left if mass_left > 0.0 else 1.0
-        # Rounding can push the conditional probability a hair outside [0, 1].
-        share = min(max(share, 0.0), 1.0)
-        drawn = int(rng.binomial(remaining, share))
-        counts[i] = drawn
-        remaining -= drawn
-        mass_left -= p[i]
-    counts[-1] += remaining
-    return counts
+    # A cell inside the sum tolerance can exceed 1 by an ulp; numpy rejects that.
+    return rng.multinomial(int(n), np.minimum(p, 1.0))
 
 
 def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
@@ -261,23 +248,26 @@ _PAIRED_TRUTH = {
 }
 
 
+def _build_scenario(name: str) -> Scenario:
+    if name in _SINGLE_TRUTH:
+        cells, denom, (mam, mim, mim_star), blurb = _SINGLE_TRUTH[name]
+        truth = ProbTable2(np.array(cells, dtype=float) / denom)
+        return Scenario(name, ScenarioKind.SINGLE, truth, mam, mim, mim_star, blurb)
+    blocks, denom, (mam, mim, mim_star), blurb = _PAIRED_TRUTH[name]
+    cube = np.stack([np.array(b, dtype=float) for b in blocks], axis=-1) / denom
+    truth = ProbTable3(cube)
+    return Scenario(name, ScenarioKind.PAIRED, truth, mam, mim, mim_star, blurb)
+
+
 def builtin_scenarios() -> tuple[Scenario, ...]:
     """The four single and four paired reference scenarios."""
-    out = []
-    for name, (cells, denom, (mam, mim, mim_star), blurb) in _SINGLE_TRUTH.items():
-        truth = ProbTable2(np.array(cells, dtype=float) / denom)
-        out.append(Scenario(name, ScenarioKind.SINGLE, truth, mam, mim, mim_star, blurb))
-    for name, (blocks, denom, (mam, mim, mim_star), blurb) in _PAIRED_TRUTH.items():
-        cube = np.stack([np.array(b, dtype=float) for b in blocks], axis=-1) / denom
-        truth = ProbTable3(cube)
-        out.append(Scenario(name, ScenarioKind.PAIRED, truth, mam, mim, mim_star, blurb))
-    return tuple(out)
+    return tuple(_build_scenario(name) for name in (*_SINGLE_TRUTH, *_PAIRED_TRUTH))
 
 
 def scenario_by_name(name: str) -> Scenario:
-    for scenario in builtin_scenarios():
-        if scenario.name == name:
-            return scenario
+    """Build and validate the one builtin scenario called ``name``."""
+    if name in _SINGLE_TRUTH or name in _PAIRED_TRUTH:
+        return _build_scenario(name)
     known = ", ".join(sorted(list(_SINGLE_TRUTH) + list(_PAIRED_TRUTH)))
     raise ValidationError(f"unknown scenario {name!r}; builtin scenarios: {known}")
 
@@ -286,85 +276,60 @@ _SINGLE_METHODS = frozenset({CIMethod.WALD, CIMethod.FISHER_Z})
 _PAIRED_METHODS = frozenset({CIMethod.WALD_DIFF, CIMethod.G_TRANSFORM})
 
 
-def _single_replicate(table: np.ndarray, scenario: Scenario,
-                      cells: Sequence[tuple[MetricKind, CIMethod]], n: int,
-                      alpha: float) -> list[tuple[bool, float, bool]]:
-    p = normalize_counts(ConfusionCounts2(table))
-    cache: dict[MetricKind, tuple[float, Gradient2, float] | None] = {}
-    out = []
-    for metric, method in cells:
-        if metric not in cache:
-            try:
-                est = estimate(p, metric)
-                grad = gradient(p, metric)
-                cache[metric] = (est, grad, asymptotic_variance(grad, p))
-            except DegenerateMarginalError:
-                cache[metric] = None
-        state = cache[metric]
-        if state is None:
-            out.append((False, math.nan, True))
-            continue
-        est, grad, var = state
-        if method is CIMethod.WALD:
-            ci = wald_ci(est, var, n, alpha)
-            degenerate = abs(est) >= 1.0
-        else:
-            ci = fisher_z_ci(est, grad, p, n, alpha)
-            degenerate = "degenerate_estimate" in ci.flags
-        true = scenario.true_value(metric)
-        out.append((ci.lower <= true <= ci.upper, ci.width, degenerate))
-    return out
+def _single_moments_stack(p: np.ndarray,
+                          metric: MetricKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(undefined, estimate, variance) of an (m, r, r) stack, like _paired_moments_stack."""
+    grad, undefined = _gradient_stack(p, metric)
+    if undefined.any():
+        p, grad = p[~undefined], grad[~undefined]
+    return undefined, _estimate_stack(p, metric), _variance_stack(grad, p)
 
 
-def _paired_replicate(cube: np.ndarray, scenario: Scenario,
-                      cells: Sequence[tuple[MetricKind, CIMethod]], n: int,
-                      alpha: float) -> list[tuple[bool, float, bool]]:
-    p3 = normalize_joint_counts(JointCounts3(cube))
-    cache: dict[MetricKind, tuple[float, float] | None] = {}
-    out = []
-    for metric, method in cells:
-        if metric not in cache:
-            try:
-                est_1, est_2, _, var_diff = _paired_moments(p3, metric)
-                cache[metric] = (est_1 - est_2, var_diff)
-            except DegenerateMarginalError:
-                cache[metric] = None
-        state = cache[metric]
-        if state is None:
-            out.append((False, math.nan, True))
-            continue
-        diff, var_diff = state
-        if method is CIMethod.WALD_DIFF:
-            ci = diff_wald_ci(diff, var_diff, n, alpha)
-            degenerate = abs(diff) >= 2.0
-        else:
-            ci = diff_g_ci(diff, var_diff, n, alpha)
-            degenerate = "degenerate_estimate" in ci.flags
-        true = scenario.true_value(metric)
-        out.append((ci.lower <= true <= ci.upper, ci.width, degenerate))
-    return out
+def _interval_stack(method: CIMethod, est: np.ndarray, var: np.ndarray, n: int,
+                    z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds of each replicate's interval and whether its estimate hit the boundary."""
+    if method in (CIMethod.WALD, CIMethod.WALD_DIFF):
+        half = z * np.sqrt(var / n)
+        lower, upper = est - half, est + half
+        flagged = np.abs(est) >= (1.0 if method is CIMethod.WALD else 2.0)
+        center, var_ci = est, var
+    else:
+        bounds = _fisher_z_bounds if method is CIMethod.FISHER_Z else _g_bounds
+        rows = [bounds(e, v, n, z) for e, v in zip(est.tolist(), var.tolist())]
+        center, var_ci, lower, upper, flagged = np.array(rows, dtype=float).reshape(-1, 5).T
+        flagged = flagged != 0.0
+    _check_interval_stack(center, var_ci, lower, upper, method)
+    return lower, upper, flagged
 
 
 def _coverage_block(scenario: Scenario, n: int, start: int, count: int,
                     cells: tuple[tuple[MetricKind, CIMethod], ...],
                     alpha: float, seed: int) -> list[tuple[int, int, list[float]]]:
     """Tally replicates [start, start+count); policy-independent raw counts."""
+    z = normal_quantile(1.0 - alpha / 2.0)
     flat = scenario.truth.pi.ravel()
     shape = scenario.truth.pi.shape
-    replicate = (_single_replicate if scenario.kind is ScenarioKind.SINGLE
-                 else _paired_replicate)
+    moments = (_single_moments_stack if scenario.kind is ScenarioKind.SINGLE
+               else _paired_moments_stack)
     covered = [0] * len(cells)
     degenerate = [0] * len(cells)
     widths: list[list[float]] = [[] for _ in cells]
-    for rep in range(start, start + count):
-        sample = sample_multinomial(flat, n, _replicate_rng(seed, rep)).reshape(shape)
-        for idx, (hit, width, bad) in enumerate(replicate(sample, scenario, cells, n, alpha)):
-            if bad:
-                degenerate[idx] += 1
-            else:
-                if hit:
-                    covered[idx] += 1
-                widths[idx].append(width)
+    stop = start + count
+    for first in range(start, stop, CHUNK_REPS):
+        draws = [sample_multinomial(flat, n, _replicate_rng(seed, rep))
+                 for rep in range(first, min(first + CHUNK_REPS, stop))]
+        p = np.stack(draws).reshape(-1, *shape) / n
+        by_metric = {}
+        for idx, (metric, method) in enumerate(cells):
+            if metric not in by_metric:
+                by_metric[metric] = moments(p, metric)
+            undefined, est, var = by_metric[metric]
+            lower, upper, flagged = _interval_stack(method, est, var, n, z)
+            true = scenario.true_value(metric)
+            kept = ~flagged
+            degenerate[idx] += int(np.count_nonzero(undefined)) + int(np.count_nonzero(flagged))
+            covered[idx] += int(np.count_nonzero((lower <= true) & (true <= upper) & kept))
+            widths[idx].extend((upper - lower)[kept].tolist())
     return [(covered[i], degenerate[i], widths[i]) for i in range(len(cells))]
 
 
@@ -404,6 +369,11 @@ def run_coverage_grid(scenario: Scenario, n: int, reps: int,
     if workers is None or workers <= 1:
         blocks = [_coverage_block(scenario, n, 0, reps, cells, alpha, seed)]
     else:
+        # Imported here: the process machinery adds ~13 ms to every start-up
+        # of the package and only this path uses it.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         block_size = -(-reps // workers)
         starts = list(range(0, reps, block_size))
         counts = [min(block_size, reps - s) for s in starts]
@@ -411,7 +381,10 @@ def run_coverage_grid(scenario: Scenario, n: int, reps: int,
             context = multiprocessing.get_context("fork")
         except ValueError:
             context = multiprocessing.get_context()
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        # The fork context starts every worker up front, so ask for no more
+        # processes than there are CPUs (there are at most `workers` blocks).
+        pool_size = min(len(starts), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=pool_size, mp_context=context) as pool:
             blocks = list(pool.map(_coverage_block, repeat(scenario), repeat(n),
                                    starts, counts, repeat(cells), repeat(alpha),
                                    repeat(seed)))

@@ -8,7 +8,19 @@ the same way before comparison.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from multimcc import (
+    ConfusionCounts2,
+    DegenerateMarginalError,
+    JointCounts3,
+    ScenarioKind,
+    paired_inference,
+    single_inference,
+)
+from multimcc.simulate import _replicate_rng
 
 FD_STEP = 1e-6
 
@@ -77,3 +89,66 @@ def random_paired_table(rng: np.random.Generator, r: int,
                 break
         if ok:
             return pi
+
+
+def sequential_multinomial(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Multinomial(n, p) as one binomial draw per cell, conditional on the cells before.
+
+    Each cell takes its binomial share of what is left, with the conditional
+    probability clamped into [0, 1] against rounding; the last cell takes the
+    rest.
+    """
+    counts = np.zeros(p.size, dtype=np.int64)
+    remaining = int(n)
+    mass_left = 1.0
+    for i in range(p.size - 1):
+        if remaining == 0:
+            break
+        share = p[i] / mass_left if mass_left > 0.0 else 1.0
+        share = min(max(share, 0.0), 1.0)
+        drawn = int(rng.binomial(remaining, share))
+        counts[i] = drawn
+        remaining -= drawn
+        mass_left -= p[i]
+    counts[-1] += remaining
+    return counts
+
+
+def reference_coverage(scenario, n: int, reps: int, cells, seed: int,
+                       alpha: float = 0.05) -> list[tuple[int, int, float]]:
+    """(covered, degenerate, mean_width) per cell, one replicate at a time.
+
+    Replicate ``rep`` draws its table on the ``(seed, rep)`` stream with
+    :func:`sequential_multinomial` and runs the public ``single_inference`` or
+    ``paired_inference`` on it.  A replicate is degenerate when that raises
+    :class:`DegenerateMarginalError` or when its estimate lies on the boundary
+    (|estimate| >= 1 for one table, |difference| >= 2 for a paired one, which
+    the transformed intervals flag as ``degenerate_estimate``).
+    """
+    paired = scenario.kind is ScenarioKind.PAIRED
+    boundary = 2.0 if paired else 1.0
+    flat = scenario.truth.pi.ravel()
+    shape = scenario.truth.pi.shape
+    covered = [0] * len(cells)
+    degenerate = [0] * len(cells)
+    widths: list[list[float]] = [[] for _ in cells]
+    for rep in range(reps):
+        table = sequential_multinomial(flat, n, _replicate_rng(seed, rep)).reshape(shape)
+        for idx, (metric, method) in enumerate(cells):
+            try:
+                if paired:
+                    ci = paired_inference(JointCounts3(table), metric, method, alpha).interval
+                else:
+                    ci = single_inference(ConfusionCounts2(table), metric, method, alpha)
+            except DegenerateMarginalError:
+                degenerate[idx] += 1
+                continue
+            if abs(ci.estimate) >= boundary or "degenerate_estimate" in ci.flags:
+                degenerate[idx] += 1
+                continue
+            true = scenario.true_value(metric)
+            covered[idx] += ci.lower <= true <= ci.upper
+            widths[idx].append(ci.width)
+    return [(covered[i], degenerate[i],
+             math.fsum(widths[i]) / len(widths[i]) if widths[i] else math.nan)
+            for i in range(len(cells))]

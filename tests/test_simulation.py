@@ -1,10 +1,12 @@
 """Coverage-harness tests: sampling, scenarios, policies, and determinism."""
 
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
 
+import multimcc.simulate as simulate
 from multimcc import (
     CIMethod,
     CoverageResult,
@@ -22,12 +24,19 @@ from multimcc import (
     sample_multinomial,
     scenario_by_name,
 )
+from multimcc.cli import main
+from helpers import reference_coverage, sequential_multinomial
 
 FREQ_SIGMA = 4.0
 EXACT_TOL = 1e-12
 
 SINGLE_NAMES = ("single-1", "single-2", "single-3", "single-4")
 PAIRED_NAMES = ("paired-1", "paired-2", "paired-3", "paired-4")
+
+SINGLE_CELLS = tuple((m, c) for m in MetricKind for c in (CIMethod.WALD, CIMethod.FISHER_Z))
+PAIRED_CELLS = tuple((m, c) for m in MetricKind
+                     for c in (CIMethod.WALD_DIFF, CIMethod.G_TRANSFORM))
+EQUIVALENCE_N = (1, 2, 5, 50, 800)
 
 
 def test_multinomial_sums_to_n():
@@ -81,6 +90,20 @@ def test_multinomial_validates_inputs():
         sample_multinomial(np.array([0.5, 0.5]), 0, rng)
 
 
+def test_multinomial_matches_sequential_binomials():
+    for scenario in builtin_scenarios():
+        flat = scenario.truth.pi.ravel()
+        for n in EQUIVALENCE_N:
+            for rep in range(200):
+                got = sample_multinomial(flat, n, simulate._replicate_rng(17, rep))
+                want = sequential_multinomial(flat, n, simulate._replicate_rng(17, rep))
+                assert np.array_equal(got, want), (scenario.name, n, rep)
+    # A cell may exceed 1 by rounding and still pass the sum check.
+    edge = np.array([1.0 + 5e-13, 0.0])
+    got = sample_multinomial(edge, 5, simulate._replicate_rng(17, 0))
+    assert got.tolist() == sequential_multinomial(edge, 5, simulate._replicate_rng(17, 0)).tolist()
+
+
 def test_builtin_scenarios_inventory():
     scenarios = builtin_scenarios()
     assert len(scenarios) == 8
@@ -118,8 +141,31 @@ def test_scenario_rejects_mismatched_table_kind():
 
 
 def test_scenario_by_name_rejects_unknown():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="builtin scenarios: paired-1, "):
         scenario_by_name("single-9")
+
+
+def test_scenario_by_name_matches_builtin_scenarios():
+    for builtin in builtin_scenarios():
+        scenario = scenario_by_name(builtin.name)
+        assert scenario.kind is builtin.kind
+        assert scenario.description == builtin.description
+        assert np.array_equal(scenario.truth.pi, builtin.truth.pi)
+        for metric in MetricKind:
+            assert scenario.true_value(metric) == builtin.true_value(metric)
+
+
+def test_scenario_by_name_builds_one_scenario(monkeypatch):
+    built = []
+    check = Scenario.__post_init__
+    def counting(self):
+        built.append(self.name)
+        check(self)
+    monkeypatch.setattr(Scenario, "__post_init__", counting)
+    for name in SINGLE_NAMES + PAIRED_NAMES:
+        built.clear()
+        scenario_by_name(name)
+        assert built == [name]
 
 
 def test_grid_rows_equal_separate_runs():
@@ -161,6 +207,83 @@ def test_worker_partition_does_not_change_results():
     forked = run_coverage_grid(scenario, 50, 200, cells, seed=11, workers=3)
     for a, b in zip(serial, forked):
         assert a == b
+
+
+def record_pool_sizes(monkeypatch) -> list[int]:
+    """Swap in a process pool that records its size, maps serially, starts nothing."""
+    sizes: list[int] = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_worker_pool_is_sized_by_blocks_and_cpus(monkeypatch):
+    sizes = record_pool_sizes(monkeypatch)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+    scenario = scenario_by_name("single-1")
+    cells = [(MetricKind.MICRO, CIMethod.WALD)]
+    serial = {reps: run_coverage_grid(scenario, 20, reps, cells, seed=3)
+              for reps in (1, 50)}
+    for reps, workers, size in ((1, 100_000, 1), (50, 100_000, 4), (50, 3, 3)):
+        sizes.clear()
+        got = run_coverage_grid(scenario, 20, reps, cells, seed=3, workers=workers)
+        assert sizes == [size]
+        assert got == serial[reps]
+
+
+def test_cli_simulate_with_huge_worker_count_starts_one_worker(monkeypatch, capsys):
+    sizes = record_pool_sizes(monkeypatch)
+    argv = ["simulate", "--scenario", "single-1", "--n", "20", "--reps", "1",
+            "--format", "json"]
+    assert main(argv + ["--workers", "100000"]) == 0
+    forked = capsys.readouterr().out
+    assert sizes == [1]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    assert '"workers": 100000' in forked
+    assert forked.replace('"workers": 100000', '"workers": null') == serial
+
+
+def assert_matches_reference(scenario, n, reps, cells, seed):
+    want = reference_coverage(scenario, n, reps, cells, seed)
+    for policy in DegeneracyPolicy:
+        got = run_coverage_grid(scenario, n, reps, cells, seed=seed, policy=policy)
+        for row, (covered, degenerate, mean_width) in zip(got, want):
+            where = (scenario.name, n, row.metric.value, row.ci_method.value, policy.value)
+            assert row.covered == covered, where
+            assert row.degenerate == degenerate, where
+            assert (row.mean_width == mean_width
+                    or math.isnan(row.mean_width) and math.isnan(mean_width)), where
+
+
+def test_batched_grid_matches_per_replicate_reference():
+    for scenario in builtin_scenarios():
+        cells = SINGLE_CELLS if scenario.kind is ScenarioKind.SINGLE else PAIRED_CELLS
+        for n in EQUIVALENCE_N:
+            assert_matches_reference(scenario, n, 100, cells, seed=n)
+
+
+def test_batched_grid_matches_reference_across_chunks(monkeypatch):
+    assert_matches_reference(scenario_by_name("single-3"), 20,
+                             simulate.CHUNK_REPS + 37, SINGLE_CELLS, seed=5)
+    monkeypatch.setattr(simulate, "CHUNK_REPS", 7)
+    for name in ("single-1", "paired-4"):
+        scenario = scenario_by_name(name)
+        cells = SINGLE_CELLS if scenario.kind is ScenarioKind.SINGLE else PAIRED_CELLS
+        assert_matches_reference(scenario, 5, 45, cells, seed=9)
 
 
 def test_all_degenerate_replicates_yield_nan_under_exclude():
