@@ -4,133 +4,21 @@ Three estimators over an r*r confusion table (macro average, pooled micro
 average, indicator correlation), their delta-method variances, single and
 paired-design confidence intervals, and a seeded Monte Carlo harness that
 checks interval coverage end to end.
+
+The package namespace re-exports each module's ``__all__``.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    DegenerateMarginalError,
-    InvalidAlphaError,
-    InvalidProbabilitiesError,
-    MccError,
-    ParseError,
-    ValidationError,
-    ZeroTotalError,
-)
-from .metrics import (
-    ClasswiseRates,
-    ConfusionCounts2,
-    MetricKind,
-    ProbTable2,
-    binary_mcc,
-    classwise_rates,
-    degenerate_classes,
-    estimate,
-    macro_mcc,
-    micro_mcc,
-    micro_mcc_pooled,
-    micro_star_mcc,
-    normalize_counts,
-    per_class_mcc,
-)
-from .inference import (
-    CIMethod,
-    Gradient2,
-    IntervalEstimate,
-    asymptotic_variance,
-    fisher_z_ci,
-    grad_macro,
-    grad_micro,
-    grad_micro_star,
-    gradient,
-    normal_quantile,
-    single_inference,
-    variance_quadratic,
-    wald_ci,
-)
-from .paired import (
-    JointCounts3,
-    PairedCovBlock,
-    PairedResult,
-    ProbTable3,
-    diff_g_ci,
-    diff_variance,
-    diff_wald_ci,
-    marginalize,
-    normalize_joint_counts,
-    paired_cov_block,
-    paired_inference,
-)
-from .simulate import (
-    CoverageResult,
-    DegeneracyPolicy,
-    Scenario,
-    ScenarioKind,
-    builtin_scenarios,
-    coverage_report,
-    run_coverage,
-    run_coverage_grid,
-    sample_multinomial,
-    scenario_by_name,
-)
+from . import errors, inference, metrics, paired, simulate
+from .errors import *
+from .metrics import *
+from .inference import *
+from .paired import *
+from .simulate import *
+from .formats import coverage_report
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "MccError",
-    "ValidationError",
-    "ZeroTotalError",
-    "InvalidAlphaError",
-    "InvalidProbabilitiesError",
-    "DegenerateMarginalError",
-    "ParseError",
-    "ConfusionCounts2",
-    "ProbTable2",
-    "ClasswiseRates",
-    "MetricKind",
-    "normalize_counts",
-    "classwise_rates",
-    "binary_mcc",
-    "per_class_mcc",
-    "degenerate_classes",
-    "macro_mcc",
-    "micro_mcc",
-    "micro_mcc_pooled",
-    "micro_star_mcc",
-    "estimate",
-    "CIMethod",
-    "Gradient2",
-    "IntervalEstimate",
-    "normal_quantile",
-    "grad_macro",
-    "grad_micro",
-    "grad_micro_star",
-    "gradient",
-    "variance_quadratic",
-    "asymptotic_variance",
-    "wald_ci",
-    "fisher_z_ci",
-    "single_inference",
-    "JointCounts3",
-    "ProbTable3",
-    "PairedCovBlock",
-    "PairedResult",
-    "normalize_joint_counts",
-    "marginalize",
-    "paired_cov_block",
-    "diff_variance",
-    "diff_wald_ci",
-    "diff_g_ci",
-    "paired_inference",
-    "ScenarioKind",
-    "DegeneracyPolicy",
-    "Scenario",
-    "CoverageResult",
-    "sample_multinomial",
-    "builtin_scenarios",
-    "scenario_by_name",
-    "run_coverage",
-    "run_coverage_grid",
-    "coverage_report",
-]
+__all__ = ["__version__", *errors.__all__, *metrics.__all__, *inference.__all__,
+           *paired.__all__, *simulate.__all__, "coverage_report"]

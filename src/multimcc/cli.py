@@ -29,6 +29,7 @@ from .paired import paired_inference
 from .formats import (
     METRIC_TOKENS,
     RunConfig,
+    coverage_report,
     error_document,
     estimate_document,
     paired_document,
@@ -42,7 +43,6 @@ from .formats import (
 from .simulate import (
     DegeneracyPolicy,
     ScenarioKind,
-    coverage_report,
     run_coverage_grid,
     scenario_by_name,
 )

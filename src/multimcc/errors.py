@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "MccError",
+    "ValidationError",
+    "ZeroTotalError",
+    "InvalidAlphaError",
+    "InvalidProbabilitiesError",
+    "DegenerateMarginalError",
+    "ParseError",
+]
+
 
 class MccError(Exception):
     """Base class for every error this package raises deliberately."""

@@ -40,6 +40,7 @@ __all__ = [
     "render_error",
     "render_estimate_table",
     "render_paired_table",
+    "coverage_report",
 ]
 
 METRIC_TOKENS = tuple(kind.value for kind in MetricKind)
@@ -290,6 +291,7 @@ def parse_joint_json(text: str) -> JointCounts3:
         if total > MAX_COUNT:
             raise _count_overflow(f"counts[{position}]: ")
         cells[i - 1, j - 1, k - 1] = count
+    cells.flags.writeable = False      # handed to the table without a copy
     return JointCounts3(cells, labels=labels)
 
 
@@ -389,6 +391,19 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(out)
 
 
+def _document_table(doc: ResultDocument, headers: Sequence[str],
+                    rows: Sequence[Sequence[str]]) -> str:
+    """:func:`_table` under the document's class labels and sample size, if any."""
+    lines = []
+    if doc.labels:
+        lines.append("classes: " + ", ".join(doc.labels))
+    if doc.n is not None:
+        lines.append(f"n: {doc.n}")
+    if lines:
+        lines.append("")
+    return "\n".join(lines + [_table(headers, rows)])
+
+
 def _fmt3(x: object) -> str:
     return f"{x:.3f}" if isinstance(x, float) else str(x)
 
@@ -403,14 +418,7 @@ def render_estimate_table(doc: ResultDocument) -> str:
     rows = [(row["metric"], _fmt3(row["estimate"]), _fmt3(row["lower"]),
              _fmt3(row["upper"]), str(row["method"]), f"{row['alpha']:g}",
              _flags_cell(row["flags"])) for row in doc.results]
-    lines = []
-    if doc.labels:
-        lines.append("classes: " + ", ".join(doc.labels))
-    if doc.n is not None:
-        lines.append(f"n: {doc.n}")
-    if lines:
-        lines.append("")
-    return "\n".join(lines + [_table(headers, rows)])
+    return _document_table(doc, headers, rows)
 
 
 def render_paired_table(doc: ResultDocument) -> str:
@@ -421,11 +429,18 @@ def render_paired_table(doc: ResultDocument) -> str:
              _fmt3(row["difference"]), _fmt3(row["lower"]), _fmt3(row["upper"]),
              str(row["method"]), f"{row['alpha']:g}", _flags_cell(row["flags"]))
             for row in doc.results]
-    lines = []
-    if doc.labels:
-        lines.append("classes: " + ", ".join(doc.labels))
-    if doc.n is not None:
-        lines.append(f"n: {doc.n}")
-    if lines:
-        lines.append("")
-    return "\n".join(lines + [_table(headers, rows)])
+    return _document_table(doc, headers, rows)
+
+
+def _fmt4(x: float) -> str:
+    return "nan" if math.isnan(x) else f"{x:.4f}"
+
+
+def coverage_report(results: Sequence[CoverageResult]) -> str:
+    """Plain-text table, one row per CoverageResult, 4-decimal coverage."""
+    headers = ("scenario", "n", "reps", "metric", "ci", "alpha",
+               "coverage", "mean-width", "degenerate", "seed", "policy")
+    rows = [(r.scenario, str(r.n), str(r.reps), r.metric.value, r.ci_method.value,
+             f"{r.alpha:g}", _fmt4(r.coverage), _fmt4(r.mean_width),
+             str(r.degenerate), str(r.seed), r.policy.value) for r in results]
+    return _table(headers, rows)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,12 @@ from .metrics import (
     ConfusionCounts2,
     MetricKind,
     ProbTable2,
-    _row_dot,
-    _stack_marginals,
-    estimate,
+    _CORRELATION_UNDEFINED,
+    _estimate_stack,
+    _lookup,
+    _macro_terms,
+    _micro_star_terms,
+    _table_marginals,
     normalize_counts,
 )
 
@@ -40,8 +44,8 @@ __all__ = [
     "normal_quantile",
     "grad_macro",
     "grad_micro",
-    "grad_micro_star",
     "gradient",
+    "variance_quadratic",
     "asymptotic_variance",
     "wald_ci",
     "fisher_z_ci",
@@ -169,6 +173,13 @@ def _quantile_tail(q: float) -> float:
     return num / den
 
 
+def _halley(x: float, q: float) -> float:
+    """One Halley step on Phi(x) = q, with Phi through erfc."""
+    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - q
+    step = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
+    return x - step / (1.0 + 0.5 * x * step)
+
+
 def normal_quantile(q: float) -> float:
     """Standard-normal inverse CDF at ``q`` in (0, 1)."""
     if not 0.0 < q < 1.0:
@@ -185,17 +196,31 @@ def normal_quantile(q: float) -> float:
         x = num / den
     else:
         x = -_quantile_tail(1.0 - q)
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - q
-    step = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - step / (1.0 + 0.5 * x * step)
+    return _halley(x, q)
 
 
-def _require_alpha(alpha: float) -> None:
+# Below twice the smallest normal double the tail probability alpha/2 loses
+# precision and the Halley step overflows.
+MIN_ALPHA = 2.0 * sys.float_info.min
+
+
+def _two_sided_z(alpha: float) -> float:
+    """The z with P(|Z| > z) = alpha, for the intervals at level 1 - alpha.
+
+    The tail probability alpha/2 goes to the quantile as it is: taking
+    1 - alpha/2 first would round away every digit of a tiny alpha.
+    """
     if not 0.0 < alpha < 1.0:
         raise InvalidAlphaError(f"alpha must be in (0, 1), got {alpha!r}")
+    q = alpha / 2.0
+    if q >= _Q_SPLIT:
+        return normal_quantile(1.0 - q)
+    if alpha < MIN_ALPHA:
+        raise InvalidAlphaError(f"alpha must be at least {MIN_ALPHA!r}, got {alpha!r}")
+    return -_halley(_quantile_tail(q), q)
 
 
-def grad_macro(p: ProbTable2) -> Gradient2:
+def _grad_macro(u: np.ndarray, v: np.ndarray, diag: np.ndarray):
     """Gradient of the macro average.
 
     Each per-class term is a quotient N_a / sqrt(Q_a) with
@@ -203,104 +228,111 @@ def grad_macro(p: ProbTable2) -> Gradient2:
     the prediction and truth marginals.  Cell (i, j) moves N and Q for class i
     (through u_i) and class j (through v_j), plus N_i directly when i = j.
     """
-    u, v = p.row_marginals, p.col_marginals
-    if np.any(u <= 0.0) or np.any(u >= 1.0) or np.any(v <= 0.0) or np.any(v >= 1.0):
-        raise DegenerateMarginalError(
-            "macro gradient requires every marginal strictly inside (0, 1)")
-    num = p.pi.diagonal() - u * v
-    q = u * v * (1.0 - u) * (1.0 - v)
+    m, r = u.shape
+    undefined = ((u <= 0.0) | (u >= 1.0) | (v <= 0.0) | (v >= 1.0)).any(axis=-1)
+    num, q = _macro_terms(u, v, diag)
     scale = 1.0 / np.sqrt(q)
     curv = num / (2.0 * q * np.sqrt(q))
     row_part = -v * scale - curv * v * (1.0 - v) * (1.0 - 2.0 * u)
     col_part = -u * scale - curv * u * (1.0 - u) * (1.0 - 2.0 * v)
-    values = row_part[:, None] + col_part[None, :] + np.diag(scale)
-    return Gradient2(values / p.r)
+    on_diag = np.zeros((m, r, r))
+    on_diag.reshape(m, r * r)[:, ::r + 1] = scale
+    return (row_part[:, :, None] + col_part[:, None, :] + on_diag) / r, undefined
 
 
-def grad_micro(p: ProbTable2) -> Gradient2:
+def _grad_micro(u: np.ndarray, v: np.ndarray, diag: np.ndarray):
     """Gradient of the pooled micro average: r/(r-1) on the diagonal, else 0."""
-    return Gradient2(np.eye(p.r) * (p.r / (p.r - 1.0)))
+    m, r = u.shape
+    return np.broadcast_to(np.eye(r) * (r / (r - 1.0)), (m, r, r)), np.zeros(m, dtype=bool)
 
 
-def grad_micro_star(p: ProbTable2) -> Gradient2:
+def _grad_micro_star(u: np.ndarray, v: np.ndarray, diag: np.ndarray):
     """Gradient of the indicator-correlation form."""
-    u, v = p.row_marginals, p.col_marginals
-    var_pred = 1.0 - float(u @ u)
-    var_truth = 1.0 - float(v @ v)
-    if var_pred <= 0.0 or var_truth <= 0.0:
-        raise DegenerateMarginalError(
-            "correlation gradient undefined: all mass in a single row or column")
-    cov = float(p.pi.trace() - u @ v)
-    denom = math.sqrt(var_pred * var_truth)
-    base = (np.eye(p.r) - v[:, None] - u[None, :]) / denom
-    bulge = cov * (u[:, None] / (denom * var_pred) + v[None, :] / (denom * var_truth))
-    return Gradient2(base + bulge)
+    r = u.shape[-1]
+    var_pred, var_truth, cov, undefined = _micro_star_terms(u, v, diag)
+    cov = cov[:, None, None]
+    denom = np.sqrt(var_pred * var_truth)[:, None, None]
+    base = (np.eye(r) - v[:, :, None] - u[:, None, :]) / denom
+    bulge = cov * (u[:, :, None] / (denom * var_pred[:, None, None])
+                   + v[:, None, :] / (denom * var_truth[:, None, None]))
+    return base + bulge, undefined
 
 
-def gradient(p: ProbTable2, kind: MetricKind) -> Gradient2:
-    """Dispatch to the gradient matching ``kind``."""
-    if kind is MetricKind.MACRO:
-        return grad_macro(p)
-    if kind is MetricKind.MICRO:
-        return grad_micro(p)
-    if kind is MetricKind.MICRO_STAR:
-        return grad_micro_star(p)
-    raise ValidationError(f"unknown metric kind: {kind!r}")
+_GRADIENTS = {
+    MetricKind.MACRO: _grad_macro,
+    MetricKind.MICRO: _grad_micro,
+    MetricKind.MICRO_STAR: _grad_micro_star,
+}
+
+# What :func:`gradient` says where a gradient kernel marks a table undefined.
+_GRADIENT_UNDEFINED = {
+    MetricKind.MACRO: "macro gradient requires every marginal strictly inside (0, 1)",
+    MetricKind.MICRO_STAR: "correlation gradient undefined: all mass in a single row or column",
+}
+
+# What the pipelines say: the estimator's complaint where it has one, since
+# it runs first, else the gradient's.
+_PIPELINE_UNDEFINED = {
+    MetricKind.MACRO: _GRADIENT_UNDEFINED[MetricKind.MACRO],
+    MetricKind.MICRO_STAR: _CORRELATION_UNDEFINED,
+}
 
 
-def _gradient_stack(p: np.ndarray, kind: MetricKind) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`gradient` of every table in an (m, r, r) probability stack.
+def _gradient_stack(marginals: tuple[np.ndarray, ...],
+                    kind: MetricKind) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gradient` of every table of a stack, given its :func:`_stack_marginals`.
 
     Returns ``(values, undefined)``.  ``undefined[k]`` is true exactly where
-    the scalar gradient raises :class:`DegenerateMarginalError` on table k
-    (which covers every table the estimator rejects), and ``values[k]`` then
-    means nothing.  Every other entry repeats the scalar float operations in
-    order and is bit-identical to ``gradient(ProbTable2(p[k]), kind).values``.
+    the gradient is not defined on table k (which covers every table the
+    estimator rejects), and ``values[k]`` then means nothing.
     """
-    m, r = p.shape[0], p.shape[-1]
-    u, v, diag = _stack_marginals(p)
+    kernel = _lookup(_GRADIENTS, kind)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if kind is MetricKind.MACRO:
-            undefined = ((u <= 0.0) | (u >= 1.0) | (v <= 0.0) | (v >= 1.0)).any(axis=-1)
-            num = diag - u * v
-            q = u * v * (1.0 - u) * (1.0 - v)
-            scale = 1.0 / np.sqrt(q)
-            curv = num / (2.0 * q * np.sqrt(q))
-            row_part = -v * scale - curv * v * (1.0 - v) * (1.0 - 2.0 * u)
-            col_part = -u * scale - curv * u * (1.0 - u) * (1.0 - 2.0 * v)
-            on_diag = np.zeros((m, r, r))
-            on_diag.reshape(m, r * r)[:, ::r + 1] = scale
-            values = (row_part[:, :, None] + col_part[:, None, :] + on_diag) / r
-        elif kind is MetricKind.MICRO:
-            undefined = np.zeros(m, dtype=bool)
-            values = np.broadcast_to(np.eye(r) * (r / (r - 1.0)), (m, r, r))
-        elif kind is MetricKind.MICRO_STAR:
-            var_pred = 1.0 - _row_dot(u, u)
-            var_truth = 1.0 - _row_dot(v, v)
-            undefined = (var_pred <= 0.0) | (var_truth <= 0.0)
-            cov = (diag.sum(axis=-1) - _row_dot(u, v))[:, None, None]
-            denom = np.sqrt(var_pred * var_truth)[:, None, None]
-            base = (np.eye(r) - v[:, :, None] - u[:, None, :]) / denom
-            bulge = cov * (u[:, :, None] / (denom * var_pred[:, None, None])
-                           + v[:, None, :] / (denom * var_truth[:, None, None]))
-            values = base + bulge
-        else:
-            raise ValidationError(f"unknown metric kind: {kind!r}")
-    if not np.all(np.isfinite(values[~undefined])):
+        values, undefined = kernel(*marginals)
+    if not np.all(np.isfinite(values[~undefined] if undefined.any() else values)):
         raise ValidationError("gradient entries must be finite")
     return values, undefined
 
 
-def variance_quadratic(values: np.ndarray, pi: np.ndarray) -> float:
-    """The multinomial sandwich sum(pi a^2) - (sum(pi a))^2, clamped at 0.
+def gradient(p: ProbTable2, kind: MetricKind) -> Gradient2:
+    """The gradient of the estimator selected by ``kind``, on one table."""
+    values, undefined = _gradient_stack(_table_marginals(p), kind)
+    if undefined[0]:
+        raise DegenerateMarginalError(_GRADIENT_UNDEFINED[kind])
+    return Gradient2(values[0])
 
-    Shape-agnostic: used for both r*r and r*r*r tables.
+
+def grad_macro(p: ProbTable2) -> Gradient2:
+    """Gradient of the macro average."""
+    return gradient(p, MetricKind.MACRO)
+
+
+def grad_micro(p: ProbTable2) -> Gradient2:
+    """Gradient of the pooled micro average."""
+    return gradient(p, MetricKind.MICRO)
+
+
+def _stack_sum(x: np.ndarray) -> np.ndarray:
+    """``x[k].sum()`` for every k: one contiguous row each, summed in the same order."""
+    return x.reshape(x.shape[0], math.prod(x.shape[1:])).sum(axis=1)
+
+
+def _variance_stack(values: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """The multinomial sandwich sum(pi a^2) - (sum(pi a))^2 of every entry, clamped at 0.
+
+    ``values`` broadcasts against ``pi``, whose first axis indexes the stack;
+    the tables may be r*r or r*r*r.
     """
-    mean = float((pi * values).sum())
-    raw = float((pi * values * values).sum()) - mean * mean
-    if raw < -VARIANCE_CLAMP:
-        raise ValidationError(f"variance quadratic form produced {raw!r}")
-    return max(raw, 0.0)
+    mean = _stack_sum(pi * values)
+    raw = _stack_sum(pi * values * values) - mean * mean
+    if np.any(raw < -VARIANCE_CLAMP):
+        raise ValidationError(f"variance quadratic form produced {float(raw.min())!r}")
+    return np.where(0.0 > raw, 0.0, raw)
+
+
+def variance_quadratic(values: np.ndarray, pi: np.ndarray) -> float:
+    """The multinomial sandwich of one gradient and one r*r or r*r*r table."""
+    return float(_variance_stack(np.asarray(values)[None], np.asarray(pi)[None])[0])
 
 
 def asymptotic_variance(grad: Gradient2, p: ProbTable2) -> float:
@@ -310,42 +342,58 @@ def asymptotic_variance(grad: Gradient2, p: ProbTable2) -> float:
     return variance_quadratic(grad.values, p.pi)
 
 
-def _stack_sum(x: np.ndarray) -> np.ndarray:
-    """``x[k].sum()`` for every k: one contiguous row each, summed in the same order."""
-    return x.reshape(x.shape[0], math.prod(x.shape[1:])).sum(axis=1)
+def _single_moments_stack(p: np.ndarray, marginals: tuple[np.ndarray, ...], kind: MetricKind
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(undefined, estimate, variance) of an (m, r, r) stack and its marginals.
 
-
-def _variance_stack(values: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """:func:`variance_quadratic` of every entry of a stack.
-
-    ``values`` broadcasts against ``pi``, whose first axis indexes the stack;
-    each entry is bit-identical to the scalar form on that entry.
+    Estimates and variances cover only the tables that are not undefined,
+    in order.
     """
-    mean = _stack_sum(pi * values)
-    raw = _stack_sum(pi * values * values) - mean * mean
-    if np.any(raw < -VARIANCE_CLAMP):
-        raise ValidationError(f"variance quadratic form produced {raw.min()!r}")
-    return np.where(0.0 > raw, 0.0, raw)
+    grad, undefined = _gradient_stack(marginals, kind)
+    if undefined.any():
+        keep = ~undefined
+        p, grad, marginals = p[keep], grad[keep], tuple(x[keep] for x in marginals)
+    return undefined, _estimate_stack(marginals, kind)[0], _variance_stack(grad, p)
 
 
-def wald_ci(estimate: float, variance: float, n: int, alpha: float = 0.05) -> IntervalEstimate:
-    """Plain Wald interval; bounds are deliberately not clipped to [-1, 1]."""
-    _require_alpha(alpha)
+def _wald_degenerate(estimate: float | np.ndarray, method: CIMethod) -> bool | np.ndarray:
+    """Whether a Wald estimate sits on or past the edge of its range.
+
+    The range is (-1, 1) for one table's metric and (-2, 2) for a
+    difference; works on floats and on arrays alike.
+    """
+    return abs(estimate) >= (2.0 if method is CIMethod.WALD_DIFF else 1.0)
+
+
+def _wald_ci(estimate: float, variance: float, n: int, alpha: float,
+             method: CIMethod) -> IntervalEstimate:
+    z = _two_sided_z(alpha)
     if variance < 0.0:
         raise ValidationError(f"variance must be non-negative, got {variance!r}")
     est = float(estimate)
-    z = normal_quantile(1.0 - alpha / 2.0)
     half = z * math.sqrt(variance / n)
+    flags = ("degenerate_estimate",) if _wald_degenerate(est, method) else ()
     return IntervalEstimate(est, float(variance), int(n), float(alpha),
-                            est - half, est + half, CIMethod.WALD)
+                            est - half, est + half, method, flags)
+
+
+def wald_ci(estimate: float, variance: float, n: int, alpha: float = 0.05) -> IntervalEstimate:
+    """Plain Wald interval; bounds are deliberately not clipped to [-1, 1].
+
+    An estimate on the boundary, |estimate| >= 1, is flagged
+    ``degenerate_estimate``.
+    """
+    return _wald_ci(estimate, variance, n, alpha, CIMethod.WALD)
 
 
 def fisher_z_ci(estimate: float, grad: Gradient2, p: ProbTable2, n: int,
                 alpha: float = 0.05) -> IntervalEstimate:
     """Wald interval on the atanh scale, mapped back through tanh."""
-    _require_alpha(alpha)
-    est, var_z, lower, upper, clamped = _fisher_z_bounds(
-        float(estimate), asymptotic_variance(grad, p), n, normal_quantile(1.0 - alpha / 2.0))
+    return _fisher_z_ci(float(estimate), asymptotic_variance(grad, p), n, alpha)
+
+
+def _fisher_z_ci(est: float, variance: float, n: int, alpha: float) -> IntervalEstimate:
+    est, var_z, lower, upper, clamped = _fisher_z_bounds(est, variance, n, _two_sided_z(alpha))
     flags = ("degenerate_estimate",) if clamped else ()
     return IntervalEstimate(est, var_z, int(n), float(alpha),
                             lower, upper, CIMethod.FISHER_Z, flags)
@@ -381,11 +429,12 @@ def single_inference(counts: ConfusionCounts2, kind: MetricKind,
     :class:`DegenerateMarginalError`.
     """
     p = normalize_counts(counts)
-    est = estimate(p, kind)
-    grad = gradient(p, kind)
+    undefined, est, var = _single_moments_stack(p.pi[None], _table_marginals(p), kind)
+    if undefined[0]:
+        raise DegenerateMarginalError(_PIPELINE_UNDEFINED[kind])
     if method is CIMethod.WALD:
-        return wald_ci(est, asymptotic_variance(grad, p), counts.n, alpha)
+        return wald_ci(float(est[0]), float(var[0]), counts.n, alpha)
     if method is CIMethod.FISHER_Z:
-        return fisher_z_ci(est, grad, p, counts.n, alpha)
+        return _fisher_z_ci(float(est[0]), float(var[0]), counts.n, alpha)
     raise ValidationError(
         f"single-table inference supports WALD or FISHER_Z, got {method!r}")

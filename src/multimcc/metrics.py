@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -31,16 +32,12 @@ __all__ = [
     "MAX_CLASSES",
     "ConfusionCounts2",
     "ProbTable2",
-    "ClasswiseRates",
     "MetricKind",
     "normalize_counts",
-    "classwise_rates",
     "binary_mcc",
-    "per_class_mcc",
     "degenerate_classes",
     "macro_mcc",
     "micro_mcc",
-    "micro_mcc_pooled",
     "micro_star_mcc",
     "estimate",
 ]
@@ -62,6 +59,44 @@ def _checked_square(cells: np.ndarray, what: str) -> np.ndarray:
     return cells
 
 
+def _store_counts(table, cells: np.ndarray, what: str) -> None:
+    """Validate whole non-negative counts and set them, frozen, on ``table`` with its labels.
+
+    A read-only int64 array that owns its memory, as the parsers hand over,
+    is kept; anything else is copied, so a caller's array never becomes
+    read-only.
+    """
+    if not np.issubdtype(cells.dtype, np.integer):
+        as_float = np.asarray(cells, dtype=float)
+        if not np.all(np.isfinite(as_float)) or np.any(as_float != np.floor(as_float)):
+            raise ValidationError("counts must be whole numbers")
+        cells = as_float
+    if cells.dtype != np.int64 or cells.flags.writeable or not cells.flags.owndata:
+        cells = cells.astype(np.int64)
+    if np.any(cells < 0):
+        raise ValidationError("counts must be non-negative")
+    if int(cells.sum()) < 1:
+        raise ZeroTotalError(f"{what} is all zeros")
+    cells.flags.writeable = False
+    object.__setattr__(table, "cells", cells)
+    if table.labels is not None:
+        labels = tuple(str(x) for x in table.labels)
+        if len(labels) != cells.shape[0]:
+            raise ValidationError(f"expected {cells.shape[0]} class labels, got {len(labels)}")
+        object.__setattr__(table, "labels", labels)
+
+
+def _checked_probabilities(pi: np.ndarray) -> np.ndarray:
+    """``pi``, frozen, once its cells lie in [0, 1] and sum to 1."""
+    if np.any(pi < 0.0) or np.any(pi > 1.0):
+        raise ValidationError("cell probabilities must lie in [0, 1]")
+    total = float(pi.sum())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValidationError(f"cell probabilities sum to {total!r}, not 1")
+    pi.flags.writeable = False
+    return pi
+
+
 @dataclass(frozen=True, eq=False)
 class ConfusionCounts2:
     """Raw confusion counts; rows index predictions, columns index truth."""
@@ -70,25 +105,8 @@ class ConfusionCounts2:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        cells = _checked_square(np.asarray(self.cells), "a counts table")
-        if not np.issubdtype(cells.dtype, np.integer):
-            as_float = np.asarray(cells, dtype=float)
-            if not np.all(np.isfinite(as_float)) or np.any(as_float != np.floor(as_float)):
-                raise ValidationError("counts must be whole numbers")
-            cells = as_float
-        cells = cells.astype(np.int64)
-        if np.any(cells < 0):
-            raise ValidationError("counts must be non-negative")
-        if int(cells.sum()) < 1:
-            raise ZeroTotalError("counts table is all zeros")
-        cells.flags.writeable = False
-        object.__setattr__(self, "cells", cells)
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != cells.shape[0]:
-                raise ValidationError(
-                    f"expected {cells.shape[0]} class labels, got {len(labels)}")
-            object.__setattr__(self, "labels", labels)
+        _store_counts(self, _checked_square(np.asarray(self.cells), "a counts table"),
+                      "counts table")
 
     @property
     def r(self) -> int:
@@ -111,13 +129,8 @@ class ProbTable2:
     pi: np.ndarray
 
     def __post_init__(self) -> None:
-        pi = _checked_square(np.array(self.pi, dtype=float), "a probability table")
-        if np.any(pi < 0.0) or np.any(pi > 1.0):
-            raise ValidationError("cell probabilities must lie in [0, 1]")
-        total = float(pi.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"cell probabilities sum to {total!r}, not 1")
-        pi.flags.writeable = False
+        pi = _checked_probabilities(
+            _checked_square(np.array(self.pi, dtype=float), "a probability table"))
         row = pi.sum(axis=1)
         col = pi.sum(axis=0)
         row.flags.writeable = False
@@ -129,36 +142,6 @@ class ProbTable2:
     @property
     def r(self) -> int:
         return int(self.pi.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
-class ClasswiseRates:
-    """One-vs-rest probability rates, one entry per class."""
-
-    tp: np.ndarray
-    fp: np.ndarray
-    fn: np.ndarray
-    tn: np.ndarray
-
-    def __post_init__(self) -> None:
-        arrays = {}
-        for name in ("tp", "fp", "fn", "tn"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 1 or arr.shape != np.shape(self.tp):
-                raise ValidationError("rate vectors must be 1-D and share a length")
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
-                raise ValidationError(f"{name} rates must lie in [0, 1]")
-            arr.flags.writeable = False
-            arrays[name] = arr
-        total = arrays["tp"] + arrays["fp"] + arrays["fn"] + arrays["tn"]
-        if np.any(np.abs(total - 1.0) > PROB_SUM_TOL):
-            raise ValidationError("per-class rates must sum to 1")
-        for name, arr in arrays.items():
-            object.__setattr__(self, name, arr)
-
-    @property
-    def r(self) -> int:
-        return int(self.tp.shape[0])
 
 
 class MetricKind(enum.Enum):
@@ -176,17 +159,6 @@ def normalize_counts(counts: ConfusionCounts2) -> ProbTable2:
     return ProbTable2(counts.cells / counts.n)
 
 
-def classwise_rates(p: ProbTable2) -> ClasswiseRates:
-    """One-vs-rest TP/FP/FN/TN probabilities for every class."""
-    tp = p.pi.diagonal().copy()
-    fp = p.row_marginals - tp
-    fn = p.col_marginals - tp
-    tn = 1.0 - tp - fp - fn
-    # tn is a complement, so rounding can push it an ulp outside [0, 1]
-    np.clip(tn, 0.0, 1.0, out=tn)
-    return ClasswiseRates(tp, fp, fn, tn)
-
-
 def binary_mcc(p: ProbTable2) -> float:
     """MCC of a 2x2 probability table."""
     if p.r != 2:
@@ -199,82 +171,13 @@ def binary_mcc(p: ProbTable2) -> float:
     return float(num / math.sqrt(denom))
 
 
-def per_class_mcc(p: ProbTable2) -> np.ndarray:
-    """One-vs-rest binary MCC per class.
+def _lookup(table: Mapping, kind: MetricKind):
+    """The registry entry for ``kind``; an unknown kind is a ValidationError."""
+    try:
+        return table[kind]
+    except (KeyError, TypeError):
+        raise ValidationError(f"unknown metric kind: {kind!r}") from None
 
-    A class that is never predicted or never true (or always one of the two)
-    has a zero-variance indicator and no defined correlation; such classes
-    contribute 0.  ``degenerate_classes`` reports which ones they were.
-    """
-    u, v = p.row_marginals, p.col_marginals
-    num = p.pi.diagonal() - u * v
-    q = u * v * (1.0 - u) * (1.0 - v)
-    out = np.zeros(p.r)
-    ok = q > 0.0
-    out[ok] = num[ok] / np.sqrt(q[ok])
-    return out
-
-
-def degenerate_classes(p: ProbTable2) -> tuple[int, ...]:
-    """Indices of classes whose one-vs-rest MCC denominator vanishes."""
-    u, v = p.row_marginals, p.col_marginals
-    q = u * v * (1.0 - u) * (1.0 - v)
-    return tuple(int(a) for a in np.flatnonzero(q <= 0.0))
-
-
-def macro_mcc(p: ProbTable2) -> float:
-    """Unweighted mean of the per-class one-vs-rest MCCs."""
-    return float(per_class_mcc(p).mean())
-
-
-def micro_mcc(p: ProbTable2) -> float:
-    """Pooled micro average: (r * accuracy - 1) / (r - 1)."""
-    return float((p.r * p.pi.trace() - 1.0) / (p.r - 1.0))
-
-
-def micro_mcc_pooled(p: ProbTable2) -> float:
-    """Binary MCC of the class-pooled one-vs-rest rates.
-
-    Algebraically identical to :func:`micro_mcc`; kept as an independent
-    computation so each route checks the other.
-    """
-    rates = classwise_rates(p)
-    tp = float(rates.tp.sum())
-    fp = float(rates.fp.sum())
-    fn = float(rates.fn.sum())
-    tn = float(rates.tn.sum())
-    num = tp * tn - fp * fn
-    denom = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
-    return float(num / math.sqrt(denom))
-
-
-def micro_star_mcc(p: ProbTable2) -> float:
-    """Correlation between prediction and truth class indicators."""
-    u, v = p.row_marginals, p.col_marginals
-    var_pred = 1.0 - float(u @ u)
-    var_truth = 1.0 - float(v @ v)
-    if var_pred <= 0.0 or var_truth <= 0.0:
-        raise DegenerateMarginalError(
-            "correlation undefined: all mass in a single row or column")
-    cov = float(p.pi.trace() - u @ v)
-    return cov / math.sqrt(var_pred * var_truth)
-
-
-def estimate(p: ProbTable2, kind: MetricKind) -> float:
-    """Dispatch to the estimator selected by ``kind``."""
-    if kind is MetricKind.MACRO:
-        return macro_mcc(p)
-    if kind is MetricKind.MICRO:
-        return micro_mcc(p)
-    if kind is MetricKind.MICRO_STAR:
-        return micro_star_mcc(p)
-    raise ValidationError(f"unknown metric kind: {kind!r}")
-
-
-# Stacked twins of the estimators, for many tables at once.  They share no
-# code with the scalar functions above (which stay cheap for one table) but
-# repeat each of their float operations in the same order, so every entry is
-# bit-identical to the scalar result on that table.
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a[k] @ b[k]`` for every row k, through the same BLAS dot as ``@``."""
@@ -286,27 +189,104 @@ def _stack_marginals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return p.sum(axis=-1), p.sum(axis=-2), p.diagonal(axis1=-2, axis2=-1)
 
 
-def _estimate_stack(p: np.ndarray, kind: MetricKind) -> np.ndarray:
-    """:func:`estimate` of every table in an (m, r, r) probability stack.
+def _table_marginals(p: ProbTable2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_stack_marginals` of one table as a stack of one, from the sums it holds."""
+    return p.row_marginals[None], p.col_marginals[None], p.pi.diagonal()[None]
 
-    Where the scalar estimator raises (MICRO_STAR on a saturated row or
-    column) the entry is NaN or infinite.
+
+# Every estimator and gradient is written once, as a kernel over an (m, r, r)
+# stack of tables given by its marginals u, v and its diagonal (the caller
+# computes them once for all the kernels it runs); a kernel returns its
+# values and the mask of tables it is not defined on.  The one-table
+# functions run the kernels on a stack of one, so the coverage harness and
+# the library share every float operation.
+
+def _macro_terms(u: np.ndarray, v: np.ndarray,
+                 diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator pi_aa - u_a v_a and squared denominator of each one-vs-rest MCC."""
+    return diag - u * v, u * v * (1.0 - u) * (1.0 - v)
+
+
+def _micro_star_terms(u: np.ndarray, v: np.ndarray, diag: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Indicator variances, covariance, and where a variance vanishes."""
+    var_pred = 1.0 - _row_dot(u, u)
+    var_truth = 1.0 - _row_dot(v, v)
+    cov = diag.sum(axis=-1) - _row_dot(u, v)
+    return var_pred, var_truth, cov, (var_pred <= 0.0) | (var_truth <= 0.0)
+
+
+def _macro(u: np.ndarray, v: np.ndarray, diag: np.ndarray):
+    """Unweighted mean of the per-class one-vs-rest MCCs.
+
+    A class that is never predicted or never true (or always one of the two)
+    has a zero-variance indicator and no defined correlation; such classes
+    contribute 0.  ``degenerate_classes`` reports which ones they were.
     """
-    r = p.shape[-1]
-    u, v, diag = _stack_marginals(p)
-    if kind is MetricKind.MACRO:
-        num = diag - u * v
-        q = u * v * (1.0 - u) * (1.0 - v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            per_class = np.where(q > 0.0, num / np.sqrt(q), 0.0)
-        return per_class.mean(axis=-1)
-    trace = diag.sum(axis=-1)
-    if kind is MetricKind.MICRO:
-        return (r * trace - 1.0) / (r - 1.0)
-    if kind is MetricKind.MICRO_STAR:
-        var_pred = 1.0 - _row_dot(u, u)
-        var_truth = 1.0 - _row_dot(v, v)
-        cov = trace - _row_dot(u, v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return cov / np.sqrt(var_pred * var_truth)
-    raise ValidationError(f"unknown metric kind: {kind!r}")
+    num, q = _macro_terms(u, v, diag)
+    per_class = np.where(q > 0.0, num / np.sqrt(q), 0.0)
+    return per_class.mean(axis=-1), np.zeros(len(u), dtype=bool)
+
+
+def _micro(u: np.ndarray, v: np.ndarray, diag: np.ndarray):
+    """Pooled micro average: (r * accuracy - 1) / (r - 1)."""
+    r = u.shape[-1]
+    return (r * diag.sum(axis=-1) - 1.0) / (r - 1.0), np.zeros(len(u), dtype=bool)
+
+
+def _micro_star(u: np.ndarray, v: np.ndarray, diag: np.ndarray):
+    """Correlation between prediction and truth class indicators."""
+    var_pred, var_truth, cov, undefined = _micro_star_terms(u, v, diag)
+    return cov / np.sqrt(var_pred * var_truth), undefined
+
+
+_ESTIMATORS = {
+    MetricKind.MACRO: _macro,
+    MetricKind.MICRO: _micro,
+    MetricKind.MICRO_STAR: _micro_star,
+}
+
+# The only estimator that can be undefined is MICRO_STAR's.
+_CORRELATION_UNDEFINED = "correlation undefined: all mass in a single row or column"
+
+
+def _estimate_stack(marginals: tuple[np.ndarray, ...],
+                    kind: MetricKind) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`estimate` of every table of a stack, given its :func:`_stack_marginals`.
+
+    Returns ``(values, undefined)``; ``undefined[k]`` is true where the
+    estimator is not defined on table k (MICRO_STAR on a saturated row or
+    column), and ``values[k]`` then means nothing.
+    """
+    estimator = _lookup(_ESTIMATORS, kind)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return estimator(*marginals)
+
+
+def estimate(p: ProbTable2, kind: MetricKind) -> float:
+    """The estimator selected by ``kind`` on one table."""
+    values, undefined = _estimate_stack(_table_marginals(p), kind)
+    if undefined[0]:
+        raise DegenerateMarginalError(_CORRELATION_UNDEFINED)
+    return float(values[0])
+
+
+def macro_mcc(p: ProbTable2) -> float:
+    """Unweighted mean of the per-class one-vs-rest MCCs."""
+    return estimate(p, MetricKind.MACRO)
+
+
+def micro_mcc(p: ProbTable2) -> float:
+    """Pooled micro average: (r * accuracy - 1) / (r - 1)."""
+    return estimate(p, MetricKind.MICRO)
+
+
+def micro_star_mcc(p: ProbTable2) -> float:
+    """Correlation between prediction and truth class indicators."""
+    return estimate(p, MetricKind.MICRO_STAR)
+
+
+def degenerate_classes(p: ProbTable2) -> tuple[int, ...]:
+    """Indices of classes whose one-vs-rest MCC denominator vanishes."""
+    _, q = _macro_terms(p.row_marginals, p.col_marginals, p.pi.diagonal())
+    return tuple(int(a) for a in np.flatnonzero(q <= 0.0))

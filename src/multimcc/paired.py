@@ -23,27 +23,32 @@ variance and differ only in the scale the interval is built on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, ZeroTotalError
+from .errors import DegenerateMarginalError, ValidationError, ZeroTotalError
 from .inference import (
     TANH_INTERIOR,
     VARIANCE_CLAMP,
     CIMethod,
     Gradient2,
     IntervalEstimate,
+    _PIPELINE_UNDEFINED,
     _gradient_stack,
-    _require_alpha,
     _stack_sum,
+    _two_sided_z,
     _variance_stack,
-    gradient,
-    normal_quantile,
-    variance_quadratic,
-    wald_ci,
+    _wald_ci,
 )
-from .metrics import PROB_SUM_TOL, MetricKind, ProbTable2, _estimate_stack, estimate
+from .metrics import (
+    MetricKind,
+    ProbTable2,
+    _checked_probabilities,
+    _estimate_stack,
+    _stack_marginals,
+    _store_counts,
+)
 
 __all__ = [
     "MAX_JOINT_CLASSES",
@@ -87,25 +92,8 @@ class JointCounts3:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        cells = _checked_cube(np.asarray(self.cells), "a joint counts table")
-        if not np.issubdtype(cells.dtype, np.integer):
-            as_float = np.asarray(cells, dtype=float)
-            if not np.all(np.isfinite(as_float)) or np.any(as_float != np.floor(as_float)):
-                raise ValidationError("counts must be whole numbers")
-            cells = as_float
-        cells = cells.astype(np.int64)
-        if np.any(cells < 0):
-            raise ValidationError("counts must be non-negative")
-        if int(cells.sum()) < 1:
-            raise ZeroTotalError("joint counts table is all zeros")
-        cells.flags.writeable = False
-        object.__setattr__(self, "cells", cells)
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != cells.shape[0]:
-                raise ValidationError(
-                    f"expected {cells.shape[0]} class labels, got {len(labels)}")
-            object.__setattr__(self, "labels", labels)
+        _store_counts(self, _checked_cube(np.asarray(self.cells), "a joint counts table"),
+                      "joint counts table")
 
     @property
     def r(self) -> int:
@@ -123,13 +111,8 @@ class ProbTable3:
     pi: np.ndarray
 
     def __post_init__(self) -> None:
-        pi = _checked_cube(np.array(self.pi, dtype=float), "a joint probability table")
-        if np.any(pi < 0.0) or np.any(pi > 1.0):
-            raise ValidationError("cell probabilities must lie in [0, 1]")
-        total = float(pi.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"cell probabilities sum to {total!r}, not 1")
-        pi.flags.writeable = False
+        pi = _checked_probabilities(
+            _checked_cube(np.array(self.pi, dtype=float), "a joint probability table"))
         object.__setattr__(self, "pi", pi)
 
     @property
@@ -184,13 +167,35 @@ def marginalize(p3: ProbTable3, method: int) -> ProbTable2:
     return ProbTable2(cells)
 
 
-def _joint_views(grad_1: Gradient2, grad_2: Gradient2,
-                 p3: ProbTable3) -> tuple[np.ndarray, np.ndarray]:
-    # Marginalization is linear, so the joint-cell partial at (i, j, k) equals
-    # the marginal-table partial at (i, k) for method 1, or (j, k) for method 2.
-    if not grad_1.r == grad_2.r == p3.r:
-        raise ValidationError("gradients and table must share a class count")
-    return grad_1.values[:, None, :], grad_2.values[None, :, :]
+def _joint_views(grad_1: np.ndarray, grad_2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint-cell gradients of two (m, r, r) marginal gradient stacks, as views.
+
+    Marginalization is linear, so the joint-cell partial at (i, j, k) equals
+    the marginal-table partial at (i, k) for method 1, or (j, k) for method 2.
+    """
+    return grad_1[:, :, None, :], grad_2[:, None, :, :]
+
+
+def _cov_block_stack(a: np.ndarray, b: np.ndarray, p3: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """var_1, var_2 and cov of joint gradients ``a`` and ``b`` over an (m, r, r, r) stack."""
+    # pi * a and pi * b are each formed once, and only one is held at a time:
+    # the same float operations as summing pi * a * b, with fewer r**3 products.
+    weighted = p3 * a
+    mean_a = _stack_sum(weighted)
+    var_1 = _stack_sum(weighted * a) - mean_a * mean_a
+    cross = _stack_sum(weighted * b)
+    weighted = p3 * b
+    mean_b = _stack_sum(weighted)
+    var_2 = _stack_sum(weighted * b) - mean_b * mean_b
+    cov = cross - mean_a * mean_b
+    if np.any(var_1 < -VARIANCE_CLAMP) or np.any(var_2 < -VARIANCE_CLAMP):
+        raise ValidationError("variance quadratic form went negative")
+    var_1 = np.where(0.0 > var_1, 0.0, var_1)
+    var_2 = np.where(0.0 > var_2, 0.0, var_2)
+    if np.any(np.abs(cov) > np.sqrt(var_1 * var_2) + CS_SLACK):
+        raise ValidationError("covariance violates the Cauchy-Schwarz bound")
+    return var_1, var_2, cov
 
 
 def paired_cov_block(grad_1: Gradient2, grad_2: Gradient2, p3: ProbTable3) -> PairedCovBlock:
@@ -199,16 +204,11 @@ def paired_cov_block(grad_1: Gradient2, grad_2: Gradient2, p3: ProbTable3) -> Pa
     ``grad_1`` and ``grad_2`` are the r*r gradients of each method's metric in
     its own marginal table, as :func:`~multimcc.inference.gradient` returns them.
     """
-    a, b = _joint_views(grad_1, grad_2, p3)
-    pi = p3.pi
-    mean_a = float((pi * a).sum())
-    mean_b = float((pi * b).sum())
-    var_1 = float((pi * a * a).sum()) - mean_a * mean_a
-    var_2 = float((pi * b * b).sum()) - mean_b * mean_b
-    cov = float((pi * a * b).sum()) - mean_a * mean_b
-    if var_1 < -VARIANCE_CLAMP or var_2 < -VARIANCE_CLAMP:
-        raise ValidationError("variance quadratic form went negative")
-    return PairedCovBlock(max(var_1, 0.0), max(var_2, 0.0), cov)
+    if not grad_1.r == grad_2.r == p3.r:
+        raise ValidationError("gradients and table must share a class count")
+    a, b = _joint_views(grad_1.values[None], grad_2.values[None])
+    var_1, var_2, cov = _cov_block_stack(a, b, p3.pi[None])
+    return PairedCovBlock(float(var_1[0]), float(var_2[0]), float(cov[0]))
 
 
 def diff_variance(block: PairedCovBlock, independent: bool = False) -> float:
@@ -225,61 +225,31 @@ def diff_variance(block: PairedCovBlock, independent: bool = False) -> float:
     return max(v, 0.0)
 
 
-def _paired_moments(p3: ProbTable3,
-                    kind: MetricKind) -> tuple[float, float, PairedCovBlock, float]:
-    """Both estimates, their covariance block, and the difference variance.
+def _paired_moments_stack(p3: np.ndarray, kind: MetricKind):
+    """Both estimates, their covariance block and the difference variance of a stack.
 
-    The difference variance is the quadratic form of the difference gradient
-    itself, which avoids the cancellation in var_1 + var_2 - 2*cov.
+    ``p3`` is an (m, r, r, r) stack.  Returns ``(undefined, est_1, est_2,
+    (var_1, var_2, cov), var_diff)``: ``undefined[k]`` is true where either
+    method's gradient is undefined on table k, and the other arrays hold the
+    remaining tables, in order.  The difference variance is the quadratic
+    form of the difference gradient itself, which avoids the cancellation in
+    var_1 + var_2 - 2*cov.
     """
-    table_1 = marginalize(p3, 1)
-    table_2 = marginalize(p3, 2)
-    est_1 = estimate(table_1, kind)
-    est_2 = estimate(table_2, kind)
-    grad_1 = gradient(table_1, kind)
-    grad_2 = gradient(table_2, kind)
-    a, b = _joint_views(grad_1, grad_2, p3)
-    return (est_1, est_2, paired_cov_block(grad_1, grad_2, p3),
-            variance_quadratic(a - b, p3.pi))
-
-
-def _paired_moments_stack(p3: np.ndarray,
-                          kind: MetricKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_paired_moments` of every table in an (m, r, r, r) stack.
-
-    Returns ``(undefined, diff, var_diff)``.  ``undefined[k]`` is true where
-    the scalar core raises :class:`DegenerateMarginalError` on table k;
-    ``diff`` (est_1 - est_2) and ``var_diff`` hold the other tables, in
-    order, each bit-identical to the scalar result.  The covariance block is
-    computed and checked as :func:`paired_cov_block` does, then dropped.
-    """
-    tables = [p3.sum(axis=2), p3.sum(axis=1)]
-    (grad_1, bad_1), (grad_2, bad_2) = (_gradient_stack(t, kind) for t in tables)
+    marginals = [_stack_marginals(p3.sum(axis=2)), _stack_marginals(p3.sum(axis=1))]
+    (grad_1, bad_1), (grad_2, bad_2) = (_gradient_stack(m, kind) for m in marginals)
     undefined = bad_1 | bad_2
     if undefined.any():
-        ok = ~undefined
-        p3, grad_1, grad_2 = p3[ok], grad_1[ok], grad_2[ok]
-        tables = [t[ok] for t in tables]
-    diff = _estimate_stack(tables[0], kind) - _estimate_stack(tables[1], kind)
-    a = grad_1[:, :, None, :]
-    b = grad_2[:, None, :, :]
-    mean_a = _stack_sum(p3 * a)
-    mean_b = _stack_sum(p3 * b)
-    var_1 = _stack_sum(p3 * a * a) - mean_a * mean_a
-    var_2 = _stack_sum(p3 * b * b) - mean_b * mean_b
-    cov = _stack_sum(p3 * a * b) - mean_a * mean_b
-    if np.any(var_1 < -VARIANCE_CLAMP) or np.any(var_2 < -VARIANCE_CLAMP):
-        raise ValidationError("variance quadratic form went negative")
-    var_1 = np.where(0.0 > var_1, 0.0, var_1)
-    var_2 = np.where(0.0 > var_2, 0.0, var_2)
-    if np.any(np.abs(cov) > np.sqrt(var_1 * var_2) + CS_SLACK):
-        raise ValidationError("covariance violates the Cauchy-Schwarz bound")
-    return undefined, diff, _variance_stack(a - b, p3)
+        keep = ~undefined
+        p3, grad_1, grad_2 = p3[keep], grad_1[keep], grad_2[keep]
+        marginals = [tuple(x[keep] for x in m) for m in marginals]
+    est_1, est_2 = (_estimate_stack(m, kind)[0] for m in marginals)
+    a, b = _joint_views(grad_1, grad_2)
+    return undefined, est_1, est_2, _cov_block_stack(a, b, p3), _variance_stack(a - b, p3)
 
 
 def diff_wald_ci(diff: float, variance: float, n: int, alpha: float = 0.05) -> IntervalEstimate:
-    """Plain Wald interval for the difference."""
-    return replace(wald_ci(diff, variance, n, alpha), method=CIMethod.WALD_DIFF)
+    """Plain Wald interval for the difference; |diff| >= 2 is flagged ``degenerate_estimate``."""
+    return _wald_ci(diff, variance, n, alpha, CIMethod.WALD_DIFF)
 
 
 def diff_g_ci(diff: float, variance: float, n: int, alpha: float = 0.05) -> IntervalEstimate:
@@ -288,11 +258,10 @@ def diff_g_ci(diff: float, variance: float, n: int, alpha: float = 0.05) -> Inte
     ``variance`` is the raw-scale difference variance, as for
     :func:`diff_wald_ci`; the reported variance is its g-scale image.
     """
-    _require_alpha(alpha)
+    z = _two_sided_z(alpha)
     if variance < 0.0:
         raise ValidationError(f"variance must be non-negative, got {variance!r}")
-    d, var_g, lower, upper, clamped = _g_bounds(
-        float(diff), variance, n, normal_quantile(1.0 - alpha / 2.0))
+    d, var_g, lower, upper, clamped = _g_bounds(float(diff), variance, n, z)
     flags = ("degenerate_estimate",) if clamped else ()
     return IntervalEstimate(d, var_g, int(n), float(alpha),
                             lower, upper, CIMethod.G_TRANSFORM, flags)
@@ -325,10 +294,14 @@ def paired_inference(counts: JointCounts3, kind: MetricKind,
     if method not in (CIMethod.WALD_DIFF, CIMethod.G_TRANSFORM):
         raise ValidationError(
             f"paired inference supports WALD_DIFF or G_TRANSFORM, got {method!r}")
-    est_1, est_2, block, var_diff = _paired_moments(normalize_joint_counts(counts), kind)
+    undefined, est_1, est_2, (var_1, var_2, cov), var_diff = _paired_moments_stack(
+        normalize_joint_counts(counts).pi[None], kind)
+    if undefined[0]:
+        raise DegenerateMarginalError(_PIPELINE_UNDEFINED[kind])
+    est_1, est_2 = float(est_1[0]), float(est_2[0])
+    block = PairedCovBlock(float(var_1[0]), float(var_2[0]), float(cov[0]))
     diff = est_1 - est_2
-    if independent:
-        var_diff = diff_variance(block, independent=True)
+    var_diff = diff_variance(block, independent=True) if independent else float(var_diff[0])
     interval = diff_wald_ci if method is CIMethod.WALD_DIFF else diff_g_ci
     ci = interval(diff, var_diff, counts.n, alpha)
     return PairedResult(est_1, est_2, diff, ci, block)

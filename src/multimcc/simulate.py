@@ -9,13 +9,13 @@ check that the estimators, gradients, and interval transforms agree.
 
 Replicates run in chunks of ``CHUNK_REPS``: the chunk's tables are drawn into
 one (reps, r, r) or (reps, r, r, r) stack, and each pipeline stage runs once
-over the stack through the stacked kernels next to the scalar functions
-(``_estimate_stack``, ``_gradient_stack``, ``_variance_stack``,
-``_paired_moments_stack``).  Those repeat the scalar float operations in
-order, and the transformed interval bounds go through the same float helper
-as ``fisher_z_ci`` and ``diff_g_ci``, so every replicate's interval is
-bit-identical to what ``single_inference`` or ``paired_inference`` returns
-for its table.
+over the stack through the same kernels that ``single_inference`` and
+``paired_inference`` run on a stack of one (``_single_moments_stack``,
+``_paired_moments_stack``).  The transformed interval bounds go through the
+same float helpers as ``fisher_z_ci`` and ``diff_g_ci``, and a Wald estimate
+on the boundary is degenerate by the rule that flags it in ``wald_ci``, so
+every replicate's interval is bit-identical to what the library returns for
+its table.
 
 Replicates are mutually independent: replicate index ``rep`` always uses the
 counter-based stream keyed by ``(seed, rep)``, so any partition of the index
@@ -45,12 +45,11 @@ from .inference import (
     CIMethod,
     _check_interval_stack,
     _fisher_z_bounds,
-    _gradient_stack,
-    _require_alpha,
-    _variance_stack,
-    normal_quantile,
+    _single_moments_stack,
+    _two_sided_z,
+    _wald_degenerate,
 )
-from .metrics import MetricKind, ProbTable2, _estimate_stack, estimate
+from .metrics import MetricKind, ProbTable2, _lookup, _stack_marginals, estimate
 from .paired import ProbTable3, _g_bounds, _paired_moments_stack, marginalize
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "scenario_by_name",
     "run_coverage",
     "run_coverage_grid",
-    "coverage_report",
 ]
 
 TRUE_VALUE_TOL = 1e-12
@@ -82,6 +80,13 @@ class ScenarioKind(enum.Enum):
 class DegeneracyPolicy(enum.Enum):
     COUNT_AS_MISS = "count-as-miss"
     EXCLUDE = "exclude"
+
+
+_TRUE_FIELDS = {
+    MetricKind.MACRO: "true_macro",
+    MetricKind.MICRO: "true_micro",
+    MetricKind.MICRO_STAR: "true_micro_star",
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,13 +131,7 @@ class Scenario:
         return estimate(table_1, metric) - estimate(table_2, metric)
 
     def true_value(self, metric: MetricKind) -> float:
-        if metric is MetricKind.MACRO:
-            return self.true_macro
-        if metric is MetricKind.MICRO:
-            return self.true_micro
-        if metric is MetricKind.MICRO_STAR:
-            return self.true_micro_star
-        raise ValidationError(f"unknown metric kind: {metric!r}")
+        return getattr(self, _lookup(_TRUE_FIELDS, metric))
 
     @property
     def r(self) -> int:
@@ -276,22 +275,13 @@ _SINGLE_METHODS = frozenset({CIMethod.WALD, CIMethod.FISHER_Z})
 _PAIRED_METHODS = frozenset({CIMethod.WALD_DIFF, CIMethod.G_TRANSFORM})
 
 
-def _single_moments_stack(p: np.ndarray,
-                          metric: MetricKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(undefined, estimate, variance) of an (m, r, r) stack, like _paired_moments_stack."""
-    grad, undefined = _gradient_stack(p, metric)
-    if undefined.any():
-        p, grad = p[~undefined], grad[~undefined]
-    return undefined, _estimate_stack(p, metric), _variance_stack(grad, p)
-
-
 def _interval_stack(method: CIMethod, est: np.ndarray, var: np.ndarray, n: int,
                     z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bounds of each replicate's interval and whether its estimate hit the boundary."""
     if method in (CIMethod.WALD, CIMethod.WALD_DIFF):
         half = z * np.sqrt(var / n)
         lower, upper = est - half, est + half
-        flagged = np.abs(est) >= (1.0 if method is CIMethod.WALD else 2.0)
+        flagged = _wald_degenerate(est, method)
         center, var_ci = est, var
     else:
         bounds = _fisher_z_bounds if method is CIMethod.FISHER_Z else _g_bounds
@@ -304,13 +294,11 @@ def _interval_stack(method: CIMethod, est: np.ndarray, var: np.ndarray, n: int,
 
 def _coverage_block(scenario: Scenario, n: int, start: int, count: int,
                     cells: tuple[tuple[MetricKind, CIMethod], ...],
-                    alpha: float, seed: int) -> list[tuple[int, int, list[float]]]:
+                    z: float, seed: int) -> list[tuple[int, int, list[float]]]:
     """Tally replicates [start, start+count); policy-independent raw counts."""
-    z = normal_quantile(1.0 - alpha / 2.0)
     flat = scenario.truth.pi.ravel()
     shape = scenario.truth.pi.shape
-    moments = (_single_moments_stack if scenario.kind is ScenarioKind.SINGLE
-               else _paired_moments_stack)
+    single = scenario.kind is ScenarioKind.SINGLE
     covered = [0] * len(cells)
     degenerate = [0] * len(cells)
     widths: list[list[float]] = [[] for _ in cells]
@@ -319,11 +307,17 @@ def _coverage_block(scenario: Scenario, n: int, start: int, count: int,
         draws = [sample_multinomial(flat, n, _replicate_rng(seed, rep))
                  for rep in range(first, min(first + CHUNK_REPS, stop))]
         p = np.stack(draws).reshape(-1, *shape) / n
+        marginals = _stack_marginals(p) if single else None
         by_metric = {}
         for idx, (metric, method) in enumerate(cells):
-            if metric not in by_metric:
-                by_metric[metric] = moments(p, metric)
-            undefined, est, var = by_metric[metric]
+            if metric in by_metric:
+                undefined, est, var = by_metric[metric]
+            elif single:
+                undefined, est, var = _single_moments_stack(p, marginals, metric)
+            else:
+                undefined, est_1, est_2, _, var = _paired_moments_stack(p, metric)
+                est = est_1 - est_2
+            by_metric[metric] = undefined, est, var
             lower, upper, flagged = _interval_stack(method, est, var, n, z)
             true = scenario.true_value(metric)
             kept = ~flagged
@@ -344,7 +338,7 @@ def run_coverage_grid(scenario: Scenario, n: int, reps: int,
     equals what a separate run_coverage call with the same seed returns; the
     grid just avoids drawing the tables once per cell.
     """
-    _require_alpha(alpha)
+    z = _two_sided_z(alpha)
     if reps < 1:
         raise ValidationError(f"reps must be at least 1, got {reps}")
     if n < 1:
@@ -367,7 +361,7 @@ def run_coverage_grid(scenario: Scenario, n: int, reps: int,
                 f"{scenario.kind.value} scenario")
 
     if workers is None or workers <= 1:
-        blocks = [_coverage_block(scenario, n, 0, reps, cells, alpha, seed)]
+        blocks = [_coverage_block(scenario, n, 0, reps, cells, z, seed)]
     else:
         # Imported here: the process machinery adds ~13 ms to every start-up
         # of the package and only this path uses it.
@@ -386,7 +380,7 @@ def run_coverage_grid(scenario: Scenario, n: int, reps: int,
         pool_size = min(len(starts), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=pool_size, mp_context=context) as pool:
             blocks = list(pool.map(_coverage_block, repeat(scenario), repeat(n),
-                                   starts, counts, repeat(cells), repeat(alpha),
+                                   starts, counts, repeat(cells), repeat(z),
                                    repeat(seed)))
 
     results = []
@@ -410,25 +404,3 @@ def run_coverage(scenario: Scenario, n: int, reps: int, kind: MetricKind,
     """Coverage of one interval constructor for one metric on one scenario."""
     return run_coverage_grid(scenario, n, reps, [(kind, ci_method)], alpha,
                              seed, policy, workers)[0]
-
-
-def _fmt4(x: float) -> str:
-    return "nan" if math.isnan(x) else f"{x:.4f}"
-
-
-_REPORT_HEADERS = ("scenario", "n", "reps", "metric", "ci", "alpha",
-                   "coverage", "mean-width", "degenerate", "seed", "policy")
-
-
-def coverage_report(results: Sequence[CoverageResult]) -> str:
-    """Plain-text table, one row per CoverageResult, 4-decimal coverage."""
-    rows = [(r.scenario, str(r.n), str(r.reps), r.metric.value, r.ci_method.value,
-             f"{r.alpha:g}", _fmt4(r.coverage), _fmt4(r.mean_width),
-             str(r.degenerate), str(r.seed), r.policy.value) for r in results]
-    widths = [max(len(header), max((len(row[i]) for row in rows), default=0))
-              for i, header in enumerate(_REPORT_HEADERS)]
-    def line(parts: Sequence[str]) -> str:
-        return "  ".join(part.ljust(widths[i]) for i, part in enumerate(parts)).rstrip()
-    out = [line(_REPORT_HEADERS), line(tuple("-" * w for w in widths))]
-    out.extend(line(row) for row in rows)
-    return "\n".join(out)

@@ -1,25 +1,45 @@
-"""Oracles and generators shared across test modules.
+"""Oracles, generators and a frozen reference shared across test modules.
 
 The finite-difference oracle perturbs one cell and renormalizes the table,
 so the directional derivative it measures is the raw partial minus the
 probability-weighted mean of all partials.  Analytic gradients are projected
 the same way before comparison.
+
+The ``ref_*`` functions are the one-table estimators, gradients, quadratic
+forms and paired moments as the package wrote them before the stacked
+kernels became its only implementation, copied verbatim apart from the
+``ref_`` prefix.  The kernels must equal them bit for bit, so they stay
+frozen: do not edit them to follow a change in ``src/``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from multimcc import (
+    CIMethod,
     ConfusionCounts2,
     DegenerateMarginalError,
+    Gradient2,
     JointCounts3,
+    MetricKind,
+    PairedCovBlock,
+    ProbTable2,
+    ProbTable3,
     ScenarioKind,
-    paired_inference,
-    single_inference,
+    ValidationError,
+    diff_g_ci,
+    diff_wald_ci,
+    marginalize,
+    normalize_counts,
+    normalize_joint_counts,
+    wald_ci,
 )
+from multimcc.inference import VARIANCE_CLAMP, _fisher_z_bounds, _two_sided_z
+from multimcc.metrics import PROB_SUM_TOL
 from multimcc.simulate import _replicate_rng
 
 FD_STEP = 1e-6
@@ -91,6 +111,67 @@ def random_paired_table(rng: np.random.Generator, r: int,
             return pi
 
 
+# The pooled route to the micro average, an oracle independent of the package's
+# estimator.
+
+@dataclass(frozen=True, eq=False)
+class ClasswiseRates:
+    """One-vs-rest probability rates, one entry per class."""
+
+    tp: np.ndarray
+    fp: np.ndarray
+    fn: np.ndarray
+    tn: np.ndarray
+
+    def __post_init__(self) -> None:
+        arrays = {}
+        for name in ("tp", "fp", "fn", "tn"):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.ndim != 1 or arr.shape != np.shape(self.tp):
+                raise ValidationError("rate vectors must be 1-D and share a length")
+            if np.any(arr < 0.0) or np.any(arr > 1.0):
+                raise ValidationError(f"{name} rates must lie in [0, 1]")
+            arr.flags.writeable = False
+            arrays[name] = arr
+        total = arrays["tp"] + arrays["fp"] + arrays["fn"] + arrays["tn"]
+        if np.any(np.abs(total - 1.0) > PROB_SUM_TOL):
+            raise ValidationError("per-class rates must sum to 1")
+        for name, arr in arrays.items():
+            object.__setattr__(self, name, arr)
+
+    @property
+    def r(self) -> int:
+        return int(self.tp.shape[0])
+
+
+def classwise_rates(p: ProbTable2) -> ClasswiseRates:
+    """One-vs-rest TP/FP/FN/TN probabilities for every class."""
+    tp = p.pi.diagonal().copy()
+    fp = p.row_marginals - tp
+    fn = p.col_marginals - tp
+    tn = 1.0 - tp - fp - fn
+    # tn is a complement, so rounding can push it an ulp outside [0, 1]
+    np.clip(tn, 0.0, 1.0, out=tn)
+    return ClasswiseRates(tp, fp, fn, tn)
+
+
+def micro_mcc_pooled(p: ProbTable2) -> float:
+    """Binary MCC of the class-pooled one-vs-rest rates.
+
+    Algebraically identical to :func:`micro_mcc`; kept as an independent
+    computation so each route checks the other.
+    """
+    rates = classwise_rates(p)
+    tp = float(rates.tp.sum())
+    fp = float(rates.fp.sum())
+    fn = float(rates.fn.sum())
+    tn = float(rates.tn.sum())
+    num = tp * tn - fp * fn
+    denom = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
+    return float(num / math.sqrt(denom))
+
+
+
 def sequential_multinomial(p: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """Multinomial(n, p) as one binomial draw per cell, conditional on the cells before.
 
@@ -114,16 +195,195 @@ def sequential_multinomial(p: np.ndarray, n: int, rng: np.random.Generator) -> n
     return counts
 
 
+def ref_per_class_mcc(p: ProbTable2) -> np.ndarray:
+    """One-vs-rest binary MCC per class.
+
+    A class that is never predicted or never true (or always one of the two)
+    has a zero-variance indicator and no defined correlation; such classes
+    contribute 0.  ``degenerate_classes`` reports which ones they were.
+    """
+    u, v = p.row_marginals, p.col_marginals
+    num = p.pi.diagonal() - u * v
+    q = u * v * (1.0 - u) * (1.0 - v)
+    out = np.zeros(p.r)
+    ok = q > 0.0
+    out[ok] = num[ok] / np.sqrt(q[ok])
+    return out
+
+
+def ref_macro_mcc(p: ProbTable2) -> float:
+    """Unweighted mean of the per-class one-vs-rest MCCs."""
+    return float(ref_per_class_mcc(p).mean())
+
+
+def ref_micro_mcc(p: ProbTable2) -> float:
+    """Pooled micro average: (r * accuracy - 1) / (r - 1)."""
+    return float((p.r * p.pi.trace() - 1.0) / (p.r - 1.0))
+
+
+def ref_micro_star_mcc(p: ProbTable2) -> float:
+    """Correlation between prediction and truth class indicators."""
+    u, v = p.row_marginals, p.col_marginals
+    var_pred = 1.0 - float(u @ u)
+    var_truth = 1.0 - float(v @ v)
+    if var_pred <= 0.0 or var_truth <= 0.0:
+        raise DegenerateMarginalError(
+            "correlation undefined: all mass in a single row or column")
+    cov = float(p.pi.trace() - u @ v)
+    return cov / math.sqrt(var_pred * var_truth)
+
+
+def ref_estimate(p: ProbTable2, kind: MetricKind) -> float:
+    """Dispatch to the estimator selected by ``kind``."""
+    if kind is MetricKind.MACRO:
+        return ref_macro_mcc(p)
+    if kind is MetricKind.MICRO:
+        return ref_micro_mcc(p)
+    if kind is MetricKind.MICRO_STAR:
+        return ref_micro_star_mcc(p)
+    raise ValidationError(f"unknown metric kind: {kind!r}")
+
+
+def ref_grad_macro(p: ProbTable2) -> Gradient2:
+    """Gradient of the macro average.
+
+    Each per-class term is a quotient N_a / sqrt(Q_a) with
+    N_a = pi_aa - u_a v_a and Q_a = u_a v_a (1-u_a)(1-v_a), where u and v are
+    the prediction and truth marginals.  Cell (i, j) moves N and Q for class i
+    (through u_i) and class j (through v_j), plus N_i directly when i = j.
+    """
+    u, v = p.row_marginals, p.col_marginals
+    if np.any(u <= 0.0) or np.any(u >= 1.0) or np.any(v <= 0.0) or np.any(v >= 1.0):
+        raise DegenerateMarginalError(
+            "macro gradient requires every marginal strictly inside (0, 1)")
+    num = p.pi.diagonal() - u * v
+    q = u * v * (1.0 - u) * (1.0 - v)
+    scale = 1.0 / np.sqrt(q)
+    curv = num / (2.0 * q * np.sqrt(q))
+    row_part = -v * scale - curv * v * (1.0 - v) * (1.0 - 2.0 * u)
+    col_part = -u * scale - curv * u * (1.0 - u) * (1.0 - 2.0 * v)
+    values = row_part[:, None] + col_part[None, :] + np.diag(scale)
+    return Gradient2(values / p.r)
+
+
+def ref_grad_micro(p: ProbTable2) -> Gradient2:
+    """Gradient of the pooled micro average: r/(r-1) on the diagonal, else 0."""
+    return Gradient2(np.eye(p.r) * (p.r / (p.r - 1.0)))
+
+
+def ref_grad_micro_star(p: ProbTable2) -> Gradient2:
+    """Gradient of the indicator-correlation form."""
+    u, v = p.row_marginals, p.col_marginals
+    var_pred = 1.0 - float(u @ u)
+    var_truth = 1.0 - float(v @ v)
+    if var_pred <= 0.0 or var_truth <= 0.0:
+        raise DegenerateMarginalError(
+            "correlation gradient undefined: all mass in a single row or column")
+    cov = float(p.pi.trace() - u @ v)
+    denom = math.sqrt(var_pred * var_truth)
+    base = (np.eye(p.r) - v[:, None] - u[None, :]) / denom
+    bulge = cov * (u[:, None] / (denom * var_pred) + v[None, :] / (denom * var_truth))
+    return Gradient2(base + bulge)
+
+
+def ref_gradient(p: ProbTable2, kind: MetricKind) -> Gradient2:
+    """Dispatch to the gradient matching ``kind``."""
+    if kind is MetricKind.MACRO:
+        return ref_grad_macro(p)
+    if kind is MetricKind.MICRO:
+        return ref_grad_micro(p)
+    if kind is MetricKind.MICRO_STAR:
+        return ref_grad_micro_star(p)
+    raise ValidationError(f"unknown metric kind: {kind!r}")
+
+
+def ref_variance_quadratic(values: np.ndarray, pi: np.ndarray) -> float:
+    """The multinomial sandwich sum(pi a^2) - (sum(pi a))^2, clamped at 0.
+
+    Shape-agnostic: used for both r*r and r*r*r tables.
+    """
+    mean = float((pi * values).sum())
+    raw = float((pi * values * values).sum()) - mean * mean
+    if raw < -VARIANCE_CLAMP:
+        raise ValidationError(f"variance quadratic form produced {raw!r}")
+    return max(raw, 0.0)
+
+
+def ref_asymptotic_variance(grad: Gradient2, p: ProbTable2) -> float:
+    """Asymptotic variance of the sqrt(n)-scaled metric (no 1/n factor)."""
+    if grad.r != p.r:
+        raise ValidationError(f"gradient is {grad.r}x{grad.r} but table is {p.r}x{p.r}")
+    return ref_variance_quadratic(grad.values, p.pi)
+
+
+def ref_joint_views(grad_1: Gradient2, grad_2: Gradient2,
+                    p3: ProbTable3) -> tuple[np.ndarray, np.ndarray]:
+    # Marginalization is linear, so the joint-cell partial at (i, j, k) equals
+    # the marginal-table partial at (i, k) for method 1, or (j, k) for method 2.
+    if not grad_1.r == grad_2.r == p3.r:
+        raise ValidationError("gradients and table must share a class count")
+    return grad_1.values[:, None, :], grad_2.values[None, :, :]
+
+
+def ref_paired_cov_block(grad_1: Gradient2, grad_2: Gradient2, p3: ProbTable3) -> PairedCovBlock:
+    """Variances and covariance of the two metrics under joint sampling.
+
+    ``grad_1`` and ``grad_2`` are the r*r gradients of each method's metric in
+    its own marginal table, as :func:`~multimcc.inference.gradient` returns them.
+    """
+    a, b = ref_joint_views(grad_1, grad_2, p3)
+    pi = p3.pi
+    mean_a = float((pi * a).sum())
+    mean_b = float((pi * b).sum())
+    var_1 = float((pi * a * a).sum()) - mean_a * mean_a
+    var_2 = float((pi * b * b).sum()) - mean_b * mean_b
+    cov = float((pi * a * b).sum()) - mean_a * mean_b
+    if var_1 < -VARIANCE_CLAMP or var_2 < -VARIANCE_CLAMP:
+        raise ValidationError("variance quadratic form went negative")
+    return PairedCovBlock(max(var_1, 0.0), max(var_2, 0.0), cov)
+
+
+def ref_paired_moments(p3: ProbTable3,
+                       kind: MetricKind) -> tuple[float, float, PairedCovBlock, float]:
+    """Both estimates, their covariance block, and the difference variance.
+
+    The difference variance is the quadratic form of the difference gradient
+    itself, which avoids the cancellation in var_1 + var_2 - 2*cov.
+    """
+    table_1 = marginalize(p3, 1)
+    table_2 = marginalize(p3, 2)
+    est_1 = ref_estimate(table_1, kind)
+    est_2 = ref_estimate(table_2, kind)
+    grad_1 = ref_gradient(table_1, kind)
+    grad_2 = ref_gradient(table_2, kind)
+    a, b = ref_joint_views(grad_1, grad_2, p3)
+    return (est_1, est_2, ref_paired_cov_block(grad_1, grad_2, p3),
+            ref_variance_quadratic(a - b, p3.pi))
+
+
+def reference_interval(method: CIMethod, est: float, variance: float, n: int,
+                       alpha: float) -> tuple[float, float, bool]:
+    """Bounds of one interval and whether its estimate was flagged degenerate."""
+    if method is CIMethod.FISHER_Z:
+        _, _, lower, upper, clamped = _fisher_z_bounds(est, variance, n, _two_sided_z(alpha))
+        return lower, upper, clamped
+    build = {CIMethod.WALD: wald_ci, CIMethod.WALD_DIFF: diff_wald_ci,
+             CIMethod.G_TRANSFORM: diff_g_ci}[method]
+    ci = build(est, variance, n, alpha)
+    return ci.lower, ci.upper, "degenerate_estimate" in ci.flags
+
+
 def reference_coverage(scenario, n: int, reps: int, cells, seed: int,
                        alpha: float = 0.05) -> list[tuple[int, int, float]]:
     """(covered, degenerate, mean_width) per cell, one replicate at a time.
 
     Replicate ``rep`` draws its table on the ``(seed, rep)`` stream with
-    :func:`sequential_multinomial` and runs the public ``single_inference`` or
-    ``paired_inference`` on it.  A replicate is degenerate when that raises
+    :func:`sequential_multinomial`, takes its estimate and variance from the
+    frozen ``ref_*`` functions, and builds its interval one table at a time.
+    A replicate is degenerate when the reference raises
     :class:`DegenerateMarginalError` or when its estimate lies on the boundary
-    (|estimate| >= 1 for one table, |difference| >= 2 for a paired one, which
-    the transformed intervals flag as ``degenerate_estimate``).
+    (|estimate| >= 1 for one table, |difference| >= 2 for a paired one); the
+    interval must carry the ``degenerate_estimate`` flag exactly then.
     """
     paired = scenario.kind is ScenarioKind.PAIRED
     boundary = 2.0 if paired else 1.0
@@ -137,18 +397,24 @@ def reference_coverage(scenario, n: int, reps: int, cells, seed: int,
         for idx, (metric, method) in enumerate(cells):
             try:
                 if paired:
-                    ci = paired_inference(JointCounts3(table), metric, method, alpha).interval
+                    p3 = normalize_joint_counts(JointCounts3(table))
+                    est_1, est_2, _, variance = ref_paired_moments(p3, metric)
+                    est = est_1 - est_2
                 else:
-                    ci = single_inference(ConfusionCounts2(table), metric, method, alpha)
+                    p = normalize_counts(ConfusionCounts2(table))
+                    est = ref_estimate(p, metric)
+                    variance = ref_asymptotic_variance(ref_gradient(p, metric), p)
             except DegenerateMarginalError:
                 degenerate[idx] += 1
                 continue
-            if abs(ci.estimate) >= boundary or "degenerate_estimate" in ci.flags:
+            lower, upper, flagged = reference_interval(method, est, variance, n, alpha)
+            assert flagged == (abs(est) >= boundary), (rep, metric, method, est)
+            if flagged:
                 degenerate[idx] += 1
                 continue
             true = scenario.true_value(metric)
-            covered[idx] += ci.lower <= true <= ci.upper
-            widths[idx].append(ci.width)
+            covered[idx] += lower <= true <= upper
+            widths[idx].append(upper - lower)
     return [(covered[i], degenerate[i],
              math.fsum(widths[i]) / len(widths[i]) if widths[i] else math.nan)
             for i in range(len(cells))]

@@ -257,6 +257,29 @@ def test_bad_alpha_is_exit_2(capsys):
     assert "alpha" in err
 
 
+def test_tiny_alpha_is_accepted(capsys):
+    code, out, err = run(capsys, "estimate", "--input", FRCNN, "--alpha", "1e-300",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    for row in json.loads(out)["results"]:
+        assert row["alpha"] == 1e-300
+        assert row["lower"] < row["estimate"] < row["upper"]
+
+
+def test_perfect_table_is_flagged_under_both_constructions(capsys, tmp_path):
+    path = tmp_path / "perfect.csv"
+    path.write_text("5,0\n0,5\n")
+    for ci in ("wald", "fisher-z"):
+        code, out, err = run(capsys, "estimate", "--input", str(path), "--ci", ci,
+                             "--format", "json")
+        assert code == 0 and err == ""
+        rows = json.loads(out)["results"]
+        assert [row["flags"] for row in rows] == [["degenerate_estimate"]] * 3
+    code, out, _ = run(capsys, "estimate", "--input", str(path))
+    assert code == 0
+    assert all(line.endswith("degenerate_estimate") for line in out.splitlines()[-3:])
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from multimcc import (
     CIMethod,
+    JointCounts3,
     MetricKind,
     ParseError,
     ValidationError,
@@ -163,6 +165,34 @@ def test_parsers_reject_counts_beyond_int64():
         parse_joint_json('{"r": 2, "counts": [[1, 1, 1, ' + "9" * 5000 + ']]}')
     largest = parse_matrix_csv(f"{2 ** 63 - 2},0\n0,1\n")
     assert largest.n == 2 ** 63 - 1
+
+
+def test_joint_json_hands_its_cube_to_the_table_without_a_copy():
+    doc = json.dumps({"r": 200, "counts": [[1, 1, 1, 5]]})
+    tracemalloc.start()
+    try:
+        counts = parse_joint_json(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One dense 200**3 int64 cube is 64 MB; a second copy would pass 128 MB.
+    assert peak < 100e6, peak
+    assert counts.n == 5 and not counts.cells.flags.writeable
+
+
+def test_joint_counts_never_freeze_the_callers_array():
+    cells = np.zeros((2, 2, 2), dtype=np.int64)
+    cells[0, 0, 0] = 3
+    counts = JointCounts3(cells)
+    assert cells.flags.writeable
+    cells[0, 0, 0] = 7
+    assert counts.cells[0, 0, 0] == 3
+    assert not counts.cells.flags.writeable
+    frozen_view = cells.view()
+    frozen_view.flags.writeable = False
+    shared = JointCounts3(frozen_view)
+    cells[1, 1, 1] = 4
+    assert shared.cells[1, 1, 1] == 0
 
 
 def test_joint_json_round_trip_through_inference():

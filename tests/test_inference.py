@@ -20,7 +20,6 @@ from multimcc import (
     fisher_z_ci,
     grad_macro,
     grad_micro,
-    grad_micro_star,
     gradient,
     macro_mcc,
     micro_mcc,
@@ -31,6 +30,7 @@ from multimcc import (
     variance_quadratic,
     wald_ci,
 )
+from multimcc.inference import MIN_ALPHA, _two_sided_z
 from helpers import fd_relative_error, random_single_table
 
 QUANTILE_TOL = 1e-9
@@ -71,6 +71,39 @@ def test_normal_quantile_rejects_out_of_range():
             normal_quantile(q)
 
 
+def test_two_sided_z_keeps_its_bits_at_common_levels():
+    pinned = {0.5: 0.674489750196082, 0.1: 1.6448536269514726, 0.05: Z_975}
+    for alpha, z in pinned.items():
+        assert _two_sided_z(alpha) == z == normal_quantile(1.0 - alpha / 2.0)
+
+
+def test_two_sided_z_matches_scipy_in_the_far_tail():
+    for alpha in (1e-10, 1e-100, 1e-300, MIN_ALPHA):
+        want = float(scipy.stats.norm.isf(alpha / 2.0))
+        assert math.isclose(_two_sided_z(alpha), want, rel_tol=1e-15, abs_tol=0.0), alpha
+
+
+def test_tiny_alpha_intervals():
+    ci = wald_ci(0.5, 1.0, 400, alpha=1e-300)
+    half = float(scipy.stats.norm.isf(0.5e-300)) / 20.0
+    assert math.isclose(ci.upper - ci.estimate, half, rel_tol=1e-14)
+    with pytest.raises(InvalidAlphaError):
+        wald_ci(0.5, 1.0, 400, alpha=MIN_ALPHA / 4.0)
+    with pytest.raises(InvalidAlphaError):
+        wald_ci(0.5, 1.0, 400, alpha=5e-324)
+
+
+def test_wald_flags_boundary_estimates():
+    assert wald_ci(1.0, 0.0, 10).flags == ("degenerate_estimate",)
+    assert wald_ci(-1.0, 0.5, 10).flags == ("degenerate_estimate",)
+    assert wald_ci(0.999, 0.5, 10).flags == ()
+    perfect = ConfusionCounts2(np.array([[5, 0], [0, 5]]))
+    for kind in MetricKind:
+        ci = single_inference(perfect, kind)
+        assert (ci.lower, ci.upper) == (1.0, 1.0)
+        assert ci.flags == ("degenerate_estimate",)
+
+
 def test_gradient_wrapper_rejects_bad_shapes():
     with pytest.raises(ValidationError):
         Gradient2(np.zeros((2, 3)))
@@ -107,7 +140,7 @@ def test_micro_star_gradient_matches_finite_differences():
             pi = random_single_table(rng, r)
             p = ProbTable2(pi)
             err = fd_relative_error(lambda m: micro_star_mcc(ProbTable2(m)),
-                                    grad_micro_star(p).values, pi)
+                                    gradient(p, MetricKind.MICRO_STAR).values, pi)
             assert err < FD_TOL
 
 
@@ -120,7 +153,7 @@ def test_macro_gradient_rejects_zero_marginal():
 def test_micro_star_gradient_rejects_saturated_row():
     p = normalize_counts(ConfusionCounts2(np.array([[5, 5], [0, 0]])))
     with pytest.raises(DegenerateMarginalError):
-        grad_micro_star(p)
+        gradient(p, MetricKind.MICRO_STAR)
 
 
 def test_gradient_dispatch_rejects_unknown_kind():

@@ -13,17 +13,14 @@ from multimcc import (
     ValidationError,
     ZeroTotalError,
     binary_mcc,
-    classwise_rates,
     degenerate_classes,
     estimate,
     macro_mcc,
     micro_mcc,
-    micro_mcc_pooled,
     micro_star_mcc,
     normalize_counts,
-    per_class_mcc,
 )
-from helpers import random_single_table
+from helpers import classwise_rates, micro_mcc_pooled, random_single_table
 
 EXACT_TOL = 1e-12
 AFFINE_TOL = 1e-14
@@ -152,10 +149,9 @@ def test_micro_matches_pooled_route():
 
 def test_unseen_class_contributes_zero_to_macro():
     p = normalize_counts(ConfusionCounts2(np.array([[5, 1, 0], [1, 5, 0], [0, 0, 0]])))
-    per = per_class_mcc(p)
-    assert per[2] == 0.0
+    # Classes 0 and 1 each have one-vs-rest MCC (5/12 - 1/4) / (1/4) = 2/3.
     assert degenerate_classes(p) == (2,)
-    assert math.isclose(macro_mcc(p), (per[0] + per[1]) / 3.0, abs_tol=EXACT_TOL)
+    assert math.isclose(macro_mcc(p), (2.0 / 3.0 + 2.0 / 3.0 + 0.0) / 3.0, abs_tol=EXACT_TOL)
 
 
 def test_micro_star_rejects_single_row_mass():

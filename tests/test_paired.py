@@ -209,6 +209,15 @@ def test_diff_wald_carries_its_own_method_tag():
     assert ci.lower == base.lower and ci.upper == base.upper
 
 
+def test_diff_wald_flags_boundary_differences():
+    assert diff_wald_ci(2.0, 0.0, 10).flags == ("degenerate_estimate",)
+    assert diff_wald_ci(-2.0, 0.3, 10).flags == ("degenerate_estimate",)
+    assert diff_wald_ci(1.5, 0.3, 10).flags == ()
+    result = paired_inference(perfect_vs_wrong_counts(), MetricKind.MACRO)
+    assert result.difference == 2.0
+    assert result.interval.flags == ("degenerate_estimate",)
+
+
 def test_g_transform_identity_and_recompute():
     rng = np.random.default_rng(20260422)
     for _ in range(10):
