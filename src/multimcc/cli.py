@@ -16,6 +16,7 @@ goes to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -23,9 +24,9 @@ from typing import Sequence
 
 from . import __version__
 from .errors import DegenerateMarginalError, ParseError, ValidationError
-from .inference import CIMethod, single_inference
-from .metrics import ConfusionCounts2, MetricKind
-from .paired import paired_inference
+from .inference import CIMethod, _table_inference
+from .metrics import ConfusionCounts2, MetricKind, normalize_counts
+from .paired import _joint_inference, _joint_marginals, normalize_joint_counts
 from .formats import (
     METRIC_TOKENS,
     RunConfig,
@@ -56,6 +57,7 @@ _PAIRED_CI_TOKENS = {"wald": CIMethod.WALD_DIFF, "g": CIMethod.G_TRANSFORM}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the three subcommands."""
     parser = argparse.ArgumentParser(
         prog="multimcc",
         description="Multiclass Matthews correlation coefficients with "
@@ -114,6 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call to main and reused: parse_args keeps no state between
+# calls (each returns a new namespace, and the append options default to None),
+# and building the parser costs more than a whole estimate on a small table.
+_shared_parser = functools.cache(build_parser)
+
+
 def _dedupe(tokens: Sequence[str]) -> tuple[str, ...]:
     seen: dict[str, None] = {}
     for token in tokens:
@@ -159,9 +167,10 @@ def cmd_estimate(config: RunConfig) -> int:
     counts = parse_matrix_csv(_read_input(config.input_path))
     if config.transpose:
         counts = ConfusionCounts2(counts.cells.T, labels=counts.labels)
-    method = _SINGLE_CI_TOKENS[config.ci]
-    intervals = {MetricKind(token): single_inference(counts, MetricKind(token),
-                                                     method, config.alpha)
+    # Normalized once; every metric runs on the same table.
+    p, n, method = normalize_counts(counts), counts.n, _SINGLE_CI_TOKENS[config.ci]
+    intervals = {MetricKind(token): _table_inference(p, n, MetricKind(token), method,
+                                                     config.alpha)
                  for token in config.metrics}
     doc = estimate_document(config, counts, intervals, __version__)
     if config.output_format == "json":
@@ -173,10 +182,11 @@ def cmd_estimate(config: RunConfig) -> int:
 
 def cmd_paired_diff(config: RunConfig) -> int:
     counts = parse_joint_json(_read_input(config.input_path))
-    method = _PAIRED_CI_TOKENS[config.ci]
-    results = {MetricKind(token): paired_inference(counts, MetricKind(token),
-                                                   method, config.alpha,
-                                                   independent=config.independent)
+    # Normalized and marginalized once; every metric runs on the same tables.
+    p3 = normalize_joint_counts(counts)
+    marginals, method = _joint_marginals(p3.pi[None]), _PAIRED_CI_TOKENS[config.ci]
+    results = {MetricKind(token): _joint_inference(p3, marginals, counts.n, MetricKind(token),
+                                                   method, config.alpha, config.independent)
                for token in config.metrics}
     doc = paired_document(config, counts, results, __version__)
     if config.output_format == "json":
@@ -216,8 +226,7 @@ _COMMANDS = {"estimate": cmd_estimate, "paired-diff": cmd_paired_diff,
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     wants_json = getattr(args, "format", "table") == "json"
     try:
         config = _config_from_args(args)

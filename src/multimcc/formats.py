@@ -155,21 +155,6 @@ class ResultDocument:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "ResultDocument":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError("malformed_document", f"invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ParseError("malformed_document", "expected a JSON object")
-        try:
-            labels = doc.get("labels")
-            return cls(doc["command"], doc["version"], doc["config"], doc["results"],
-                       tuple(labels) if labels is not None else None, doc.get("n"))
-        except KeyError as exc:
-            raise ParseError("malformed_document", f"missing key: {exc}") from exc
-
 
 def parse_matrix_csv(text: str) -> ConfusionCounts2:
     """Parse a square confusion matrix; rows are predictions, columns truth."""

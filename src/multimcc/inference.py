@@ -56,8 +56,10 @@ __all__ = [
 # anything below this is rounding noise, anything beyond it is a bug.
 VARIANCE_CLAMP = 1e-12
 
-# atanh blows up at +-1; estimates on the boundary are moved just inside.
+# atanh blows up at +-1, and g at +-2; estimates on the boundary are moved
+# just inside.
 ESTIMATE_CLAMP = 1.0 - 1e-10
+DIFF_CLAMP = 2.0 - 1e-10
 
 _BOUND_SLACK = 1e-12
 
@@ -389,34 +391,55 @@ def wald_ci(estimate: float, variance: float, n: int, alpha: float = 0.05) -> In
 def fisher_z_ci(estimate: float, grad: Gradient2, p: ProbTable2, n: int,
                 alpha: float = 0.05) -> IntervalEstimate:
     """Wald interval on the atanh scale, mapped back through tanh."""
-    return _fisher_z_ci(float(estimate), asymptotic_variance(grad, p), n, alpha)
+    return _transformed_ci(CIMethod.FISHER_Z, estimate, asymptotic_variance(grad, p), n, alpha)
 
 
-def _fisher_z_ci(est: float, variance: float, n: int, alpha: float) -> IntervalEstimate:
-    est, var_z, lower, upper, clamped = _fisher_z_bounds(est, variance, n, _two_sided_z(alpha))
+def _transformed_ci(method: CIMethod, estimate: float, variance: float, n: int,
+                    alpha: float) -> IntervalEstimate:
+    """One FISHER_Z or G_TRANSFORM interval: :func:`_transformed_bounds` on a stack of one."""
+    z = _two_sided_z(alpha)
+    if variance < 0.0:
+        raise ValidationError(f"variance must be non-negative, got {variance!r}")
+    est, var_t, lower, upper, clamped = (
+        x.item() for x in _transformed_bounds(method, np.array([float(estimate)]),
+                                              np.array([float(variance)]), n, z))
     flags = ("degenerate_estimate",) if clamped else ()
-    return IntervalEstimate(est, var_z, int(n), float(alpha),
-                            lower, upper, CIMethod.FISHER_Z, flags)
+    return IntervalEstimate(est, var_t, int(n), float(alpha), lower, upper, method, flags)
 
 
-def _fisher_z_bounds(est: float, base: float, n: int,
-                     z: float) -> tuple[float, float, float, float, bool]:
-    """One atanh-scale interval in plain floats.
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` of each element of a 1-D array, taken as a Python float."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
-    Returns the estimate (clamped inside (-1, 1) when it sat on the
-    boundary), the atanh-scale variance, both bounds, and whether the clamp
-    applied.  ``math`` rather than numpy: their atanh and tanh differ in the
-    last bit on many inputs.
+
+def _transformed_bounds(method: CIMethod, est: np.ndarray, variance: np.ndarray, n: int,
+                        z: float) -> tuple[np.ndarray, ...]:
+    """Intervals on the atanh scale (FISHER_Z) or the g scale (G_TRANSFORM), mapped back.
+
+    ``est`` and ``variance`` are 1-D arrays of raw-scale estimates and
+    variances.  Returns the estimates (clamped inside (-1, 1), or (-2, 2) for
+    a difference, where they sat on the boundary), the transformed-scale
+    variances, both bounds, and where the clamp applied.  Every element gets
+    the float operations of the one-interval formula: numpy rounds each
+    arithmetic step as Python floats do, squares go through ``float_power``,
+    which calls C ``pow`` as ``x ** 2`` does (``np.square`` multiplies, and
+    differs in the last bit on some inputs), and atanh, log and tanh stay in
+    ``math``, since numpy's differ from it in the last bit.
     """
-    clamped = abs(est) >= 1.0
-    if clamped:
-        est = math.copysign(ESTIMATE_CLAMP, est)
-    var_z = base / (1.0 - est * est) ** 2
-    half = z * math.sqrt(var_z / n)
-    center = math.atanh(est)
-    lower = max(math.tanh(center - half), -TANH_INTERIOR)
-    upper = min(math.tanh(center + half), TANH_INTERIOR)
-    return est, var_z, lower, upper, clamped
+    fisher = method is CIMethod.FISHER_Z
+    limit, clamp = (1.0, ESTIMATE_CLAMP) if fisher else (2.0, DIFF_CLAMP)
+    clamped = np.abs(est) >= limit
+    est = np.where(clamped, np.copysign(clamp, est), est)
+    if fisher:
+        var_t = variance / np.float_power(1.0 - est * est, 2.0)
+        center = _elementwise(math.atanh, est)
+    else:
+        var_t = variance * np.float_power(2.0 / (4.0 - est * est), 2.0)
+        center = 0.5 * _elementwise(math.log, (2.0 + est) / (2.0 - est))
+    half = z * np.sqrt(var_t / n)
+    lower = np.maximum(limit * _elementwise(math.tanh, center - half), -limit * TANH_INTERIOR)
+    upper = np.minimum(limit * _elementwise(math.tanh, center + half), limit * TANH_INTERIOR)
+    return est, var_t, lower, upper, clamped
 
 
 def single_inference(counts: ConfusionCounts2, kind: MetricKind,
@@ -428,13 +451,18 @@ def single_inference(counts: ConfusionCounts2, kind: MetricKind,
     MACRO, a saturated row or column for MICRO_STAR) raise
     :class:`DegenerateMarginalError`.
     """
-    p = normalize_counts(counts)
+    return _table_inference(normalize_counts(counts), counts.n, kind, method, alpha)
+
+
+def _table_inference(p: ProbTable2, n: int, kind: MetricKind, method: CIMethod,
+                     alpha: float) -> IntervalEstimate:
+    """:func:`single_inference` on counts of total ``n`` already normalized to ``p``."""
     undefined, est, var = _single_moments_stack(p.pi[None], _table_marginals(p), kind)
     if undefined[0]:
         raise DegenerateMarginalError(_PIPELINE_UNDEFINED[kind])
     if method is CIMethod.WALD:
-        return wald_ci(float(est[0]), float(var[0]), counts.n, alpha)
+        return wald_ci(float(est[0]), float(var[0]), n, alpha)
     if method is CIMethod.FISHER_Z:
-        return _fisher_z_ci(float(est[0]), float(var[0]), counts.n, alpha)
+        return _transformed_ci(method, float(est[0]), float(var[0]), n, alpha)
     raise ValidationError(
         f"single-table inference supports WALD or FISHER_Z, got {method!r}")

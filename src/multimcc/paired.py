@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import DegenerateMarginalError, ValidationError, ZeroTotalError
 from .inference import (
-    TANH_INTERIOR,
     VARIANCE_CLAMP,
     CIMethod,
     Gradient2,
@@ -37,7 +36,7 @@ from .inference import (
     _PIPELINE_UNDEFINED,
     _gradient_stack,
     _stack_sum,
-    _two_sided_z,
+    _transformed_ci,
     _variance_stack,
     _wald_ci,
 )
@@ -69,7 +68,6 @@ __all__ = [
 MAX_JOINT_CLASSES = 200
 
 CS_SLACK = 1e-10
-DIFF_CLAMP = 2.0 - 1e-10
 
 
 def _checked_cube(cells: np.ndarray, what: str) -> np.ndarray:
@@ -225,17 +223,23 @@ def diff_variance(block: PairedCovBlock, independent: bool = False) -> float:
     return max(v, 0.0)
 
 
-def _paired_moments_stack(p3: np.ndarray, kind: MetricKind):
+def _joint_marginals(p3: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """:func:`_stack_marginals` of each method's confusion tables in an (m, r, r, r) stack."""
+    return [_stack_marginals(p3.sum(axis=2)), _stack_marginals(p3.sum(axis=1))]
+
+
+def _paired_moments_stack(p3: np.ndarray, marginals: list[tuple[np.ndarray, ...]],
+                          kind: MetricKind):
     """Both estimates, their covariance block and the difference variance of a stack.
 
-    ``p3`` is an (m, r, r, r) stack.  Returns ``(undefined, est_1, est_2,
-    (var_1, var_2, cov), var_diff)``: ``undefined[k]`` is true where either
-    method's gradient is undefined on table k, and the other arrays hold the
-    remaining tables, in order.  The difference variance is the quadratic
-    form of the difference gradient itself, which avoids the cancellation in
+    ``p3`` is an (m, r, r, r) stack and ``marginals`` its
+    :func:`_joint_marginals`.  Returns ``(undefined, est_1, est_2, (var_1,
+    var_2, cov), var_diff)``: ``undefined[k]`` is true where either method's
+    gradient is undefined on table k, and the other arrays hold the remaining
+    tables, in order.  The difference variance is the quadratic form of the
+    difference gradient itself, which avoids the cancellation in
     var_1 + var_2 - 2*cov.
     """
-    marginals = [_stack_marginals(p3.sum(axis=2)), _stack_marginals(p3.sum(axis=1))]
     (grad_1, bad_1), (grad_2, bad_2) = (_gradient_stack(m, kind) for m in marginals)
     undefined = bad_1 | bad_2
     if undefined.any():
@@ -258,44 +262,30 @@ def diff_g_ci(diff: float, variance: float, n: int, alpha: float = 0.05) -> Inte
     ``variance`` is the raw-scale difference variance, as for
     :func:`diff_wald_ci`; the reported variance is its g-scale image.
     """
-    z = _two_sided_z(alpha)
-    if variance < 0.0:
-        raise ValidationError(f"variance must be non-negative, got {variance!r}")
-    d, var_g, lower, upper, clamped = _g_bounds(float(diff), variance, n, z)
-    flags = ("degenerate_estimate",) if clamped else ()
-    return IntervalEstimate(d, var_g, int(n), float(alpha),
-                            lower, upper, CIMethod.G_TRANSFORM, flags)
-
-
-def _g_bounds(d: float, variance: float, n: int,
-              z: float) -> tuple[float, float, float, float, bool]:
-    """One g-scale interval in plain floats.
-
-    Returns the difference (clamped inside (-2, 2) when it sat on the
-    boundary), the g-scale variance, both bounds, and whether the clamp
-    applied.  ``math`` rather than numpy, whose log and tanh differ from it
-    in the last bit on some inputs.
-    """
-    clamped = abs(d) >= 2.0
-    if clamped:
-        d = math.copysign(DIFF_CLAMP, d)
-    var_g = variance * (2.0 / (4.0 - d * d)) ** 2
-    half = z * math.sqrt(var_g / n)
-    center = 0.5 * math.log((2.0 + d) / (2.0 - d))
-    lower = max(2.0 * math.tanh(center - half), -2.0 * TANH_INTERIOR)
-    upper = min(2.0 * math.tanh(center + half), 2.0 * TANH_INTERIOR)
-    return d, var_g, lower, upper, clamped
+    return _transformed_ci(CIMethod.G_TRANSFORM, diff, variance, n, alpha)
 
 
 def paired_inference(counts: JointCounts3, kind: MetricKind,
                      method: CIMethod = CIMethod.WALD_DIFF, alpha: float = 0.05,
                      independent: bool = False) -> PairedResult:
     """Full pipeline from joint counts to a difference interval."""
+    p3 = normalize_joint_counts(counts)
+    return _joint_inference(p3, _joint_marginals(p3.pi[None]), counts.n, kind, method,
+                            alpha, independent)
+
+
+def _joint_inference(p3: ProbTable3, marginals: list[tuple[np.ndarray, ...]], n: int,
+                     kind: MetricKind, method: CIMethod, alpha: float,
+                     independent: bool) -> PairedResult:
+    """:func:`paired_inference` on counts of total ``n`` already normalized to ``p3``.
+
+    ``marginals`` is :func:`_joint_marginals` of ``p3`` as a stack of one.
+    """
     if method not in (CIMethod.WALD_DIFF, CIMethod.G_TRANSFORM):
         raise ValidationError(
             f"paired inference supports WALD_DIFF or G_TRANSFORM, got {method!r}")
     undefined, est_1, est_2, (var_1, var_2, cov), var_diff = _paired_moments_stack(
-        normalize_joint_counts(counts).pi[None], kind)
+        p3.pi[None], marginals, kind)
     if undefined[0]:
         raise DegenerateMarginalError(_PIPELINE_UNDEFINED[kind])
     est_1, est_2 = float(est_1[0]), float(est_2[0])
@@ -303,5 +293,5 @@ def paired_inference(counts: JointCounts3, kind: MetricKind,
     diff = est_1 - est_2
     var_diff = diff_variance(block, independent=True) if independent else float(var_diff[0])
     interval = diff_wald_ci if method is CIMethod.WALD_DIFF else diff_g_ci
-    ci = interval(diff, var_diff, counts.n, alpha)
+    ci = interval(diff, var_diff, n, alpha)
     return PairedResult(est_1, est_2, diff, ci, block)

@@ -12,7 +12,7 @@ one (reps, r, r) or (reps, r, r, r) stack, and each pipeline stage runs once
 over the stack through the same kernels that ``single_inference`` and
 ``paired_inference`` run on a stack of one (``_single_moments_stack``,
 ``_paired_moments_stack``).  The transformed interval bounds go through the
-same float helpers as ``fisher_z_ci`` and ``diff_g_ci``, and a Wald estimate
+same stacked helper as ``fisher_z_ci`` and ``diff_g_ci``, and a Wald estimate
 on the boundary is degenerate by the rule that flags it in ``wald_ci``, so
 every replicate's interval is bit-identical to what the library returns for
 its table.
@@ -20,7 +20,8 @@ its table.
 Replicates are mutually independent: replicate index ``rep`` always uses the
 counter-based stream keyed by ``(seed, rep)``, so any partition of the index
 range into chunks or over any number of worker processes reproduces the
-serial run bit for bit.
+serial run bit for bit.  A block builds one generator and re-keys it per
+replicate rather than building one per replicate.
 
 Sampled tables can be degenerate (an empty class, or an estimate pinned to
 the boundary).  Such replicates never abort a run; they are tallied and
@@ -36,7 +37,7 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,13 +45,13 @@ from .errors import InvalidProbabilitiesError, ValidationError
 from .inference import (
     CIMethod,
     _check_interval_stack,
-    _fisher_z_bounds,
     _single_moments_stack,
+    _transformed_bounds,
     _two_sided_z,
     _wald_degenerate,
 )
 from .metrics import MetricKind, ProbTable2, _lookup, _stack_marginals, estimate
-from .paired import ProbTable3, _g_bounds, _paired_moments_stack, marginalize
+from .paired import ProbTable3, _joint_marginals, _paired_moments_stack, marginalize
 
 __all__ = [
     "ScenarioKind",
@@ -185,6 +186,14 @@ def sample_multinomial(probabilities: np.ndarray, n: int,
     the binomial conditional on what earlier cells consumed; this is the
     exact joint distribution, not an approximation.
     """
+    p = _checked_cells(probabilities)
+    if n < 1:
+        raise ValidationError(f"sample size must be at least 1, got {n}")
+    return rng.multinomial(int(n), p)
+
+
+def _checked_cells(probabilities: np.ndarray) -> np.ndarray:
+    """The cell vector :func:`sample_multinomial` draws from, after its checks."""
     p = np.asarray(probabilities, dtype=float).ravel()
     if p.size < 1:
         raise InvalidProbabilitiesError("need at least one cell probability")
@@ -193,16 +202,47 @@ def sample_multinomial(probabilities: np.ndarray, n: int,
     total = float(p.sum())
     if abs(total - 1.0) > 1e-12:
         raise InvalidProbabilitiesError(f"cell probabilities sum to {total!r}, not 1")
-    if n < 1:
-        raise ValidationError(f"sample size must be at least 1, got {n}")
     # A cell inside the sum tolerance can exceed 1 by an ulp; numpy rejects that.
-    return rng.multinomial(int(n), np.minimum(p, 1.0))
+    return np.minimum(p, 1.0)
 
 
 def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
     # Counter-based keying: stream identity depends only on (seed, rep), so
     # serial and parallel schedules draw identical tables per replicate.
     return np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)))
+
+
+def _replicate_sampler(probabilities: np.ndarray, n: int,
+                       seed: int) -> Callable[[range], np.ndarray]:
+    """A function that draws the tables of a range of replicates, one int64 row each.
+
+    The row of replicate ``rep`` is
+    ``sample_multinomial(probabilities, n, _replicate_rng(seed, rep))``.  One
+    Philox generator serves every replicate.  Before each draw it is re-keyed
+    to ``(seed, rep)`` with counter 0 and an empty buffer (buffer position 4
+    of 4, no half-used 32-bit word): the state a new generator starts in, so
+    the draws are those of the fresh stream, at a fraction of the cost of
+    building one.  The probabilities are checked once, here.
+    """
+    cells, n = _checked_cells(probabilities), int(n)
+    key = np.array([seed, 0], dtype=np.uint64)
+    # Philox copies the state in, so the arrays can be updated and set again.
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    bit_generator = np.random.Philox(key=key)
+    rng = np.random.Generator(bit_generator)
+
+    def draw(reps: range) -> np.ndarray:
+        out = np.empty((len(reps), cells.size), dtype=np.int64)
+        for row, rep in enumerate(reps):
+            key[1] = rep
+            bit_generator.state = state
+            out[row] = rng.multinomial(n, cells)
+        return out
+
+    return draw
 
 
 _SINGLE_TRUTH = {
@@ -284,10 +324,7 @@ def _interval_stack(method: CIMethod, est: np.ndarray, var: np.ndarray, n: int,
         flagged = _wald_degenerate(est, method)
         center, var_ci = est, var
     else:
-        bounds = _fisher_z_bounds if method is CIMethod.FISHER_Z else _g_bounds
-        rows = [bounds(e, v, n, z) for e, v in zip(est.tolist(), var.tolist())]
-        center, var_ci, lower, upper, flagged = np.array(rows, dtype=float).reshape(-1, 5).T
-        flagged = flagged != 0.0
+        center, var_ci, lower, upper, flagged = _transformed_bounds(method, est, var, n, z)
     _check_interval_stack(center, var_ci, lower, upper, method)
     return lower, upper, flagged
 
@@ -296,18 +333,16 @@ def _coverage_block(scenario: Scenario, n: int, start: int, count: int,
                     cells: tuple[tuple[MetricKind, CIMethod], ...],
                     z: float, seed: int) -> list[tuple[int, int, list[float]]]:
     """Tally replicates [start, start+count); policy-independent raw counts."""
-    flat = scenario.truth.pi.ravel()
     shape = scenario.truth.pi.shape
+    draw = _replicate_sampler(scenario.truth.pi, n, seed)
     single = scenario.kind is ScenarioKind.SINGLE
     covered = [0] * len(cells)
     degenerate = [0] * len(cells)
     widths: list[list[float]] = [[] for _ in cells]
     stop = start + count
     for first in range(start, stop, CHUNK_REPS):
-        draws = [sample_multinomial(flat, n, _replicate_rng(seed, rep))
-                 for rep in range(first, min(first + CHUNK_REPS, stop))]
-        p = np.stack(draws).reshape(-1, *shape) / n
-        marginals = _stack_marginals(p) if single else None
+        p = draw(range(first, min(first + CHUNK_REPS, stop))).reshape(-1, *shape) / n
+        marginals = _stack_marginals(p) if single else _joint_marginals(p)
         by_metric = {}
         for idx, (metric, method) in enumerate(cells):
             if metric in by_metric:
@@ -315,7 +350,7 @@ def _coverage_block(scenario: Scenario, n: int, start: int, count: int,
             elif single:
                 undefined, est, var = _single_moments_stack(p, marginals, metric)
             else:
-                undefined, est_1, est_2, _, var = _paired_moments_stack(p, metric)
+                undefined, est_1, est_2, _, var = _paired_moments_stack(p, marginals, metric)
                 est = est_1 - est_2
             by_metric[metric] = undefined, est, var
             lower, upper, flagged = _interval_stack(method, est, var, n, z)

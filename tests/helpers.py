@@ -6,14 +6,15 @@ probability-weighted mean of all partials.  Analytic gradients are projected
 the same way before comparison.
 
 The ``ref_*`` functions are the one-table estimators, gradients, quadratic
-forms and paired moments as the package wrote them before the stacked
-kernels became its only implementation, copied verbatim apart from the
-``ref_`` prefix.  The kernels must equal them bit for bit, so they stay
-frozen: do not edit them to follow a change in ``src/``.
+forms, paired moments and transformed interval bounds as the package wrote
+them before the stacked kernels became its only implementation, copied
+verbatim apart from the ``ref_`` prefix.  The kernels must equal them bit for
+bit, so they stay frozen: do not edit them to follow a change in ``src/``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from multimcc import (
     JointCounts3,
     MetricKind,
     PairedCovBlock,
+    ParseError,
     ProbTable2,
     ProbTable3,
     ScenarioKind,
@@ -38,7 +40,14 @@ from multimcc import (
     normalize_joint_counts,
     wald_ci,
 )
-from multimcc.inference import VARIANCE_CLAMP, _fisher_z_bounds, _two_sided_z
+from multimcc.formats import ResultDocument
+from multimcc.inference import (
+    DIFF_CLAMP,
+    ESTIMATE_CLAMP,
+    TANH_INTERIOR,
+    VARIANCE_CLAMP,
+    _two_sided_z,
+)
 from multimcc.metrics import PROB_SUM_TOL
 from multimcc.simulate import _replicate_rng
 
@@ -361,14 +370,56 @@ def ref_paired_moments(p3: ProbTable3,
             ref_variance_quadratic(a - b, p3.pi))
 
 
+def ref_fisher_z_bounds(est: float, base: float, n: int,
+                        z: float) -> tuple[float, float, float, float, bool]:
+    """One atanh-scale interval in plain floats.
+
+    Returns the estimate (clamped inside (-1, 1) when it sat on the
+    boundary), the atanh-scale variance, both bounds, and whether the clamp
+    applied.  ``math`` rather than numpy: their atanh and tanh differ in the
+    last bit on many inputs.
+    """
+    clamped = abs(est) >= 1.0
+    if clamped:
+        est = math.copysign(ESTIMATE_CLAMP, est)
+    var_z = base / (1.0 - est * est) ** 2
+    half = z * math.sqrt(var_z / n)
+    center = math.atanh(est)
+    lower = max(math.tanh(center - half), -TANH_INTERIOR)
+    upper = min(math.tanh(center + half), TANH_INTERIOR)
+    return est, var_z, lower, upper, clamped
+
+
+def ref_g_bounds(d: float, variance: float, n: int,
+                 z: float) -> tuple[float, float, float, float, bool]:
+    """One g-scale interval in plain floats.
+
+    Returns the difference (clamped inside (-2, 2) when it sat on the
+    boundary), the g-scale variance, both bounds, and whether the clamp
+    applied.  ``math`` rather than numpy, whose log and tanh differ from it
+    in the last bit on some inputs.
+    """
+    clamped = abs(d) >= 2.0
+    if clamped:
+        d = math.copysign(DIFF_CLAMP, d)
+    var_g = variance * (2.0 / (4.0 - d * d)) ** 2
+    half = z * math.sqrt(var_g / n)
+    center = 0.5 * math.log((2.0 + d) / (2.0 - d))
+    lower = max(2.0 * math.tanh(center - half), -2.0 * TANH_INTERIOR)
+    upper = min(2.0 * math.tanh(center + half), 2.0 * TANH_INTERIOR)
+    return d, var_g, lower, upper, clamped
+
+
 def reference_interval(method: CIMethod, est: float, variance: float, n: int,
                        alpha: float) -> tuple[float, float, bool]:
     """Bounds of one interval and whether its estimate was flagged degenerate."""
     if method is CIMethod.FISHER_Z:
-        _, _, lower, upper, clamped = _fisher_z_bounds(est, variance, n, _two_sided_z(alpha))
+        _, _, lower, upper, clamped = ref_fisher_z_bounds(est, variance, n, _two_sided_z(alpha))
         return lower, upper, clamped
-    build = {CIMethod.WALD: wald_ci, CIMethod.WALD_DIFF: diff_wald_ci,
-             CIMethod.G_TRANSFORM: diff_g_ci}[method]
+    if method is CIMethod.G_TRANSFORM:
+        _, _, lower, upper, clamped = ref_g_bounds(est, variance, n, _two_sided_z(alpha))
+        return lower, upper, clamped
+    build = {CIMethod.WALD: wald_ci, CIMethod.WALD_DIFF: diff_wald_ci}[method]
     ci = build(est, variance, n, alpha)
     return ci.lower, ci.upper, "degenerate_estimate" in ci.flags
 
@@ -418,3 +469,19 @@ def reference_coverage(scenario, n: int, reps: int, cells, seed: int,
     return [(covered[i], degenerate[i],
              math.fsum(widths[i]) / len(widths[i]) if widths[i] else math.nan)
             for i in range(len(cells))]
+
+
+def result_document_from_json(text: str) -> ResultDocument:
+    """Read back a document that :meth:`ResultDocument.to_json` wrote."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError("malformed_document", f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("malformed_document", "expected a JSON object")
+    try:
+        labels = doc.get("labels")
+        return ResultDocument(doc["command"], doc["version"], doc["config"], doc["results"],
+                              tuple(labels) if labels is not None else None, doc.get("n"))
+    except KeyError as exc:
+        raise ParseError("malformed_document", f"missing key: {exc}") from exc

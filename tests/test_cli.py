@@ -16,6 +16,7 @@ from multimcc import (
     scenario_by_name,
     single_inference,
 )
+import multimcc.cli as cli
 from multimcc.cli import main
 from multimcc.formats import parse_matrix_csv
 
@@ -291,6 +292,63 @@ def test_missing_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def run_or_exit(capsys, argv):
+    """(exit code, stdout, stderr) of one call, argparse exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARSER_SEQUENCE = (
+    ("estimate", "--input", FRCNN, "--metric", "mam", "--format", "json"),
+    ("estimate", "--input", FRCNN, "--ci", "g"),                    # usage error, exit 2
+    ("estimate", "--input", FRCNN, "--metric", "mim", "--metric", "mam", "--format", "json"),
+    ("estimate", "--input", FRCNN, "--format", "json"),
+    ("paired-diff", "--input", JOINT, "--ci", "g", "--metric", "mim-star"),
+    ("simulate", "--scenario", "single-1", "--n", "5", "--reps", "40",
+     "--ci", "fisher-z", "--metric", "mim", "--format", "json"),
+    ("simulate", "--scenario", "paired-2"),                         # usage error, exit 2
+    ("simulate", "--scenario", "paired-2", "--n", "20", "--reps", "40",
+     "--ci", "g", "--ci", "wald", "--format", "json"),
+    ("simulate", "--scenario", "paired-2", "--n", "20", "--reps", "40", "--format", "json"),
+    ("--version",),
+    ("paired-diff", "--input", JOINT, "--independent"),
+    ("estimate", "--input", BCD, "--transpose", "--metric", "mim"),
+)
+
+
+def test_cached_parser_gives_the_bytes_of_a_fresh_one(capsys, monkeypatch):
+    assert cli._shared_parser() is cli._shared_parser()
+    assert cli.build_parser() is not cli.build_parser()
+    cached = [run_or_exit(capsys, argv) for argv in PARSER_SEQUENCE * 2]
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = [run_or_exit(capsys, argv) for argv in PARSER_SEQUENCE * 2]
+    assert cached == fresh
+    assert [code for code, _, _ in cached[:len(PARSER_SEQUENCE)]] == [
+        0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
+
+
+def test_repeated_options_do_not_pile_up_across_calls(capsys):
+    def config(*argv):
+        code, out, _ = run_or_exit(capsys, argv)
+        assert code == 0
+        return json.loads(out)["config"]
+
+    for _ in range(3):
+        assert config("estimate", "--input", FRCNN, "--metric", "mam", "--metric", "mim",
+                      "--format", "json")["metrics"] == ["mam", "mim"]
+        assert config("estimate", "--input", FRCNN, "--format", "json")["metrics"] == [
+            "mam", "mim", "mim-star"]
+        sim = ("simulate", "--scenario", "single-2", "--n", "10", "--reps", "5",
+               "--format", "json")
+        assert config(*sim, "--ci", "wald", "--ci", "fisher-z")["ci"] == "wald,fisher-z"
+        assert config(*sim, "--ci", "wald")["ci"] == "wald"
+        assert config(*sim)["ci"] == "all"
 
 
 def golden_check(capsys, golden_name, *argv):

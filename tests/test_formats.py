@@ -33,6 +33,7 @@ from multimcc.formats import (
     render_paired_table,
     paired_document,
 )
+from helpers import result_document_from_json
 
 EXACT_TOL = 1e-12
 
@@ -247,7 +248,7 @@ def test_result_document_round_trips_awkward_floats():
     awkward = [0.1 + 0.2, 1e-17, 2.0 - 1e-10, -0.9999999999999999]
     doc = ResultDocument("estimate", "0.1.0", {"alpha": 0.05},
                          [{"values": awkward}], labels=("a", "b"), n=7)
-    back = ResultDocument.from_json(doc.to_json())
+    back = result_document_from_json(doc.to_json())
     assert back.command == doc.command
     assert back.version == doc.version
     assert back.labels == doc.labels
@@ -263,9 +264,9 @@ def test_result_document_json_text_shape():
 
 
 def test_result_document_from_json_errors():
-    parse_error("malformed_document", ResultDocument.from_json, "{oops")
-    parse_error("malformed_document", ResultDocument.from_json, "[]")
-    parse_error("malformed_document", ResultDocument.from_json,
+    parse_error("malformed_document", result_document_from_json, "{oops")
+    parse_error("malformed_document", result_document_from_json, "[]")
+    parse_error("malformed_document", result_document_from_json,
                 json.dumps({"command": "estimate"}))
 
 

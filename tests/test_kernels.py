@@ -1,8 +1,8 @@
 """Stacked kernels against the frozen one-table scalar functions, bit for bit.
 
 The package has one implementation of each estimator, gradient, quadratic
-form and paired moment: a kernel over a stack of tables, which the one-table
-API runs on a stack of one.  Every stacked entry must equal the frozen
+form, paired moment and transformed interval: a kernel over a stack, which
+the one-table API runs on a stack of one.  Every stacked entry must equal the frozen
 ``ref_*`` function's result on that table exactly (``np.array_equal``), and
 an "undefined" mask must be true exactly where the reference raises
 DegenerateMarginalError.
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from multimcc import (
+    CIMethod,
     ConfusionCounts2,
     DegenerateMarginalError,
     JointCounts3,
@@ -19,6 +20,7 @@ from multimcc import (
     ProbTable2,
     ProbTable3,
     ValidationError,
+    diff_g_ci,
     estimate,
     gradient,
     marginalize,
@@ -26,12 +28,20 @@ from multimcc import (
     paired_inference,
     single_inference,
 )
-from multimcc.inference import _gradient_stack, _variance_stack
+from multimcc.inference import (
+    _gradient_stack,
+    _transformed_bounds,
+    _transformed_ci,
+    _two_sided_z,
+    _variance_stack,
+)
 from multimcc.metrics import _estimate_stack, _stack_marginals
-from multimcc.paired import _paired_moments_stack
+from multimcc.paired import _joint_marginals, _paired_moments_stack
 from helpers import (
     ref_asymptotic_variance,
     ref_estimate,
+    ref_fisher_z_bounds,
+    ref_g_bounds,
     ref_gradient,
     ref_paired_cov_block,
     ref_paired_moments,
@@ -125,10 +135,11 @@ def check_paired_kernel(stack):
         moments = [reference_outcome(lambda pi=pi: ref_paired_moments(ProbTable3(pi), kind))
                    for pi in stack]
         moments, (valid_stack,) = split_invalid(
-            moments, lambda s: _paired_moments_stack(s, kind), stack)
+            moments, lambda s: _paired_moments_stack(s, _joint_marginals(s), kind), stack)
         raised = np.array([m is None for m in moments])
         assert not raised.all() and raised.any() == (kind is not MetricKind.MICRO)
-        undefined, est_1, est_2, block, var_diff = _paired_moments_stack(valid_stack, kind)
+        undefined, est_1, est_2, block, var_diff = _paired_moments_stack(
+            valid_stack, _joint_marginals(valid_stack), kind)
         assert np.array_equal(undefined, raised), kind
         kept = [m for m in moments if m is not None]
         assert np.array_equal(est_1, np.array([e1 for e1, _, _, _ in kept]))
@@ -209,7 +220,62 @@ def test_kernels_accept_an_empty_stack():
         values, undefined = _gradient_stack(_stack_marginals(np.zeros((0, 3, 3))), kind)
         assert values.shape == (0, 3, 3) and undefined.shape == (0,)
         assert _variance_stack(values, np.zeros((0, 3, 3))).shape == (0,)
+        empty = np.zeros((0, 3, 3, 3))
         undefined, est_1, est_2, block, var_diff = _paired_moments_stack(
-            np.zeros((0, 3, 3, 3)), kind)
+            empty, _joint_marginals(empty), kind)
         assert undefined.shape == est_1.shape == est_2.shape == var_diff.shape == (0,)
         assert all(part.shape == (0,) for part in block)
+    for method in (CIMethod.FISHER_Z, CIMethod.G_TRANSFORM):
+        parts = _transformed_bounds(method, np.zeros(0), np.zeros(0), 5, 1.96)
+        assert all(part.shape == (0,) for part in parts)
+
+
+# Each transformed-interval reference with the edge of its estimate's range.
+BOUND_REFERENCES = {CIMethod.FISHER_Z: (ref_fisher_z_bounds, 1.0),
+                    CIMethod.G_TRANSFORM: (ref_g_bounds, 2.0)}
+BOUND_SETTINGS = ((1, 0.05), (7, 0.5), (250, 1e-10), (2000, 0.05), (10 ** 6, 0.2))
+BOUND_INPUTS = 25_000
+
+
+def bound_inputs(rng, limit):
+    """Random estimates and variances, with the boundary, the clamp and the digits near it."""
+    est = rng.uniform(-limit, limit, BOUND_INPUTS)
+    var = 10.0 ** rng.uniform(-12.0, 2.0, BOUND_INPUTS)
+    var[::97] = 0.0
+    near = 1000
+    est[:near] = limit * (1.0 - 10.0 ** rng.uniform(-16.0, -1.0, near)) * rng.choice([-1, 1], near)
+    edges = [limit, -limit, np.nextafter(limit, 0.0), -np.nextafter(limit, 0.0),
+             limit * (1.0 - 1e-10), -limit * (1.0 - 1e-10), 1.5 * limit, -3.0 * limit,
+             0.0, -0.0, 1e-300, 0.5]
+    est[near:near + len(edges)] = edges
+    return est, var
+
+
+def test_transformed_bounds_match_frozen_scalar_formulas():
+    rng = np.random.default_rng(20261018)
+    for method, (reference, limit) in BOUND_REFERENCES.items():
+        for n, alpha in BOUND_SETTINGS:
+            est, var = bound_inputs(rng, limit)
+            z = _two_sided_z(alpha)
+            got = _transformed_bounds(method, est, var, n, z)
+            rows = [reference(e, v, n, z) for e, v in zip(est.tolist(), var.tolist())]
+            for index, part in enumerate(got):
+                want = np.array([row[index] for row in rows])
+                assert np.array_equal(part, want), (method, n, alpha, index)
+            assert got[4].dtype == bool and got[4].sum() >= 4
+
+
+def test_transformed_intervals_match_frozen_scalar_formulas():
+    rng = np.random.default_rng(20261019)
+    for method, (reference, limit) in BOUND_REFERENCES.items():
+        est, var = bound_inputs(rng, limit)
+        for e, v in zip(est[::50].tolist(), var[::50].tolist()):
+            for n, alpha in BOUND_SETTINGS:
+                want = reference(e, v, n, _two_sided_z(alpha))
+                if method is CIMethod.G_TRANSFORM:
+                    ci = diff_g_ci(e, v, n, alpha)
+                else:
+                    ci = _transformed_ci(method, e, v, n, alpha)
+                assert (ci.estimate, ci.variance, ci.lower, ci.upper) == want[:4]
+                assert ci.flags == (("degenerate_estimate",) if want[4] else ())
+                assert all(type(x) is float for x in (ci.estimate, ci.variance, ci.lower))

@@ -1,5 +1,7 @@
-"""Property tests: the parsers raise only the package's own errors, and the
-command line exits only with its documented codes."""
+"""Property tests: the parsers raise only the package's own errors, the
+command line exits only with its documented codes, intervals bracket their
+estimates inside the transformed ranges, and the estimates do not depend on
+how the classes are numbered or which axis holds the truth."""
 
 import contextlib
 import io
@@ -7,11 +9,26 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from multimcc import MccError
+from multimcc import (
+    CIMethod,
+    ConfusionCounts2,
+    DegenerateMarginalError,
+    JointCounts3,
+    MccError,
+    MetricKind,
+    ValidationError,
+    estimate,
+    normalize_counts,
+    paired_inference,
+    single_inference,
+)
 from multimcc.cli import main
+from multimcc.inference import _BOUND_SLACK
 from multimcc.formats import parse_joint_json, parse_matrix_csv
 
 # Few examples and no example database, so the suite's run time and its
@@ -112,3 +129,89 @@ def test_cli_exits_only_with_documented_codes(command_input, alpha, ci, fmt, fla
                 "--alpha", repr(alpha), "--format", fmt]
         code = exit_code(argv + [FLAGS[command]] if flag else argv)
     assert code in (0, 2, 3), (argv, text)
+
+
+# Criterion 8's tolerance for the structural invariants.
+INVARIANT_TOL = 1e-12
+
+count_tables = st.integers(min_value=2, max_value=5).flatmap(
+    lambda r: st.lists(st.lists(st.integers(min_value=0, max_value=60), min_size=r, max_size=r),
+                       min_size=r, max_size=r)).filter(lambda rows: sum(map(sum, rows)) > 0)
+joint_tables = st.integers(min_value=2, max_value=3).flatmap(
+    lambda r: st.lists(st.integers(min_value=0, max_value=40), min_size=r ** 3,
+                       max_size=r ** 3).map(lambda cells, r=r: np.reshape(cells, (r, r, r)))
+).filter(lambda cube: cube.sum() > 0)
+alpha_levels = st.sampled_from([0.5, 0.2, 0.05, 0.01, 1e-6])
+
+
+@PROPERTY_SETTINGS
+@given(count_tables, st.sampled_from(list(MetricKind)),
+       st.sampled_from([CIMethod.WALD, CIMethod.FISHER_Z]), alpha_levels)
+def test_single_intervals_bracket_their_estimates(rows, kind, method, alpha):
+    try:
+        ci = single_inference(ConfusionCounts2(np.array(rows)), kind, method, alpha)
+    except DegenerateMarginalError:
+        return
+    assert ci.lower - _BOUND_SLACK <= ci.estimate <= ci.upper + _BOUND_SLACK
+    assert ci.lower <= ci.upper
+    if method is CIMethod.FISHER_Z:
+        assert -1.0 < ci.lower <= ci.upper < 1.0
+
+
+def has_saturated_marginal(cube: np.ndarray) -> bool:
+    """Whether one class takes every truth, or every prediction of one method."""
+    return any(np.count_nonzero(cube.sum(axis=axes)) == 1 for axes in ((0, 1), (1, 2), (0, 2)))
+
+
+@pytest.mark.xfail(strict=True, raises=ValidationError,
+                   reason="a marginal whose cells/n sum to 1 - 1 ulp passes the MICRO_STAR "
+                          "undefined check, and the covariance block then fails its own "
+                          "variance check (ROADMAP open item 5)")
+def test_near_saturated_marginal_is_degenerate():
+    cube = np.zeros((3, 3, 3), dtype=np.int64)
+    cube[0, 0, 0], cube[1, 1, 0], cube[2, 2, 0] = 11, 9, 4     # every truth is class 1
+    with pytest.raises(DegenerateMarginalError):
+        paired_inference(JointCounts3(cube), MetricKind.MICRO_STAR)
+
+
+@PROPERTY_SETTINGS
+@given(joint_tables, st.sampled_from(list(MetricKind)),
+       st.sampled_from([CIMethod.WALD_DIFF, CIMethod.G_TRANSFORM]), alpha_levels,
+       st.booleans())
+def test_paired_intervals_bracket_their_differences(cube, kind, method, alpha, independent):
+    if kind is MetricKind.MICRO_STAR and has_saturated_marginal(cube):
+        return      # the known defect pinned by test_near_saturated_marginal_is_degenerate
+    try:
+        result = paired_inference(JointCounts3(cube), kind, method, alpha, independent)
+    except DegenerateMarginalError:
+        return
+    ci = result.interval
+    assert ci.lower - _BOUND_SLACK <= ci.estimate <= ci.upper + _BOUND_SLACK
+    assert ci.lower <= ci.upper
+    if method is CIMethod.G_TRANSFORM:
+        assert -2.0 < ci.lower <= ci.upper < 2.0
+
+
+def estimates_or_degenerate(table: np.ndarray) -> list:
+    p = normalize_counts(ConfusionCounts2(table))
+    values = []
+    for kind in MetricKind:
+        try:
+            values.append(estimate(p, kind))
+        except DegenerateMarginalError:
+            values.append(None)
+    return values
+
+
+@PROPERTY_SETTINGS
+@given(count_tables.flatmap(lambda rows: st.tuples(
+    st.just(np.array(rows)), st.permutations(range(len(rows))))))
+def test_estimates_survive_relabelling_and_transposing(table_and_perm):
+    table, perm = table_and_perm
+    base = estimates_or_degenerate(table)
+    for view in (table[np.ix_(perm, perm)], table.T):
+        for want, got in zip(base, estimates_or_degenerate(view)):
+            if want is None or got is None:
+                assert want is got
+            else:
+                assert abs(got - want) <= INVARIANT_TOL

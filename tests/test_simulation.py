@@ -1,7 +1,11 @@
 """Coverage-harness tests: sampling, scenarios, policies, and determinism."""
 
 import concurrent.futures
+import contextlib
+import hashlib
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,14 +84,22 @@ def test_multinomial_frequencies_match_probabilities():
 
 def test_multinomial_validates_inputs():
     rng = np.random.default_rng(0)
-    with pytest.raises(InvalidProbabilitiesError):
-        sample_multinomial(np.array([0.5, 0.6]), 10, rng)
-    with pytest.raises(InvalidProbabilitiesError):
-        sample_multinomial(np.array([-0.1, 1.1]), 10, rng)
-    with pytest.raises(InvalidProbabilitiesError):
-        sample_multinomial(np.array([]), 10, rng)
-    with pytest.raises(ValidationError):
-        sample_multinomial(np.array([0.5, 0.5]), 0, rng)
+    cases = (
+        (np.array([]), 10, InvalidProbabilitiesError, "^need at least one cell probability$"),
+        (np.array([0.5, np.nan]), 10, InvalidProbabilitiesError,
+         "^cell probabilities must be finite and non-negative$"),
+        (np.array([-0.1, 1.1]), 10, InvalidProbabilitiesError,
+         "^cell probabilities must be finite and non-negative$"),
+        (np.array([0.5, 0.6]), 10, InvalidProbabilitiesError,
+         r"^cell probabilities sum to 1\.1, not 1$"),
+        (np.array([0.5, 0.5]), 0, ValidationError, "^sample size must be at least 1, got 0$"),
+    )
+    for p, n, error, text in cases:
+        with pytest.raises(error, match=text):
+            sample_multinomial(p, n, rng)
+        if n >= 1:      # a coverage block checks its truth vector the same way
+            with pytest.raises(error, match=text):
+                simulate._replicate_sampler(p, n, 0)
 
 
 def test_multinomial_matches_sequential_binomials():
@@ -102,6 +114,94 @@ def test_multinomial_matches_sequential_binomials():
     edge = np.array([1.0 + 5e-13, 0.0])
     got = sample_multinomial(edge, 5, simulate._replicate_rng(17, 0))
     assert got.tolist() == sequential_multinomial(edge, 5, simulate._replicate_rng(17, 0)).tolist()
+
+
+REKEY_SEEDS = (0, 17, 2 ** 64 - 1)
+
+
+def test_rekeyed_draws_match_fresh_generators():
+    """One re-keyed generator draws what a new (seed, rep) generator draws."""
+    for scenario in builtin_scenarios():
+        flat = scenario.truth.pi.ravel()
+        for n in EQUIVALENCE_N:
+            for seed in REKEY_SEEDS:
+                draw = simulate._replicate_sampler(scenario.truth.pi, n, seed)
+                # Out of order, repeated, and across the chunk size.
+                reps = [*range(40), 3, 0, *range(simulate.CHUNK_REPS - 5,
+                                                simulate.CHUNK_REPS + 5)]
+                got = np.concatenate([draw(range(r, r + 1)) for r in reps])
+                want = [sample_multinomial(flat, n, simulate._replicate_rng(seed, r))
+                        for r in reps]
+                assert np.array_equal(got, np.stack(want)), (scenario.name, n, seed)
+                span = range(simulate.CHUNK_REPS - 20, simulate.CHUNK_REPS + 20)
+                assert np.array_equal(draw(span), np.stack(
+                    [sample_multinomial(flat, n, simulate._replicate_rng(seed, r))
+                     for r in span])), (scenario.name, n, seed)
+
+
+def test_blocks_draw_each_replicate_from_its_own_stream(monkeypatch):
+    """Across chunk boundaries and uneven worker splits, replicate rep is the (seed, rep) draw."""
+    drawn: dict[int, list[np.ndarray]] = {}
+    sampler = simulate._replicate_sampler
+
+    def recording(probabilities, n, seed):
+        draw = sampler(probabilities, n, seed)
+
+        def record(reps):
+            out = draw(reps)
+            for rep, row in zip(reps, out):
+                drawn.setdefault(rep, []).append(row.copy())
+            return out
+        return record
+
+    monkeypatch.setattr(simulate, "_replicate_sampler", recording)
+    monkeypatch.setattr(simulate, "CHUNK_REPS", 7)
+    reps, n, seed = 53, 5, 21
+    z = simulate._two_sided_z(0.05)
+    for name in ("single-3", "paired-4"):
+        scenario = scenario_by_name(name)
+        cells = SINGLE_CELLS if scenario.kind is ScenarioKind.SINGLE else PAIRED_CELLS
+        flat = scenario.truth.pi.ravel()
+        serial = None
+        for workers in (1, 2, 4, 5, 10, 53):
+            # The split run_coverage_grid hands its workers.
+            size = -(-reps // workers)
+            drawn.clear()
+            blocks = [simulate._coverage_block(scenario, n, start, min(size, reps - start),
+                                               cells, z, seed)
+                      for start in range(0, reps, size)]
+            assert sorted(drawn) == list(range(reps))
+            for rep, rows in drawn.items():
+                want = sample_multinomial(flat, n, simulate._replicate_rng(seed, rep))
+                assert len(rows) == 1 and np.array_equal(rows[0], want), (name, workers, rep)
+            tally = [(sum(b[i][0] for b in blocks), sum(b[i][1] for b in blocks),
+                      [w for b in blocks for w in b[i][2]]) for i in range(len(cells))]
+            serial = serial or tally
+            assert tally == serial, (name, workers)
+
+
+# sha256 of the 576 ``simulate --format json`` documents below, each with its
+# version field emptied, as a new Philox generator per replicate drew them
+# before the blocks re-keyed one.  Any change to a draw or an interval moves it.
+SIMULATE_DOCUMENTS_SHA256 = "4d2653c36c28cde60c21993a41d4f96c4251bfdd6403589dd86fe87add4d85ef"
+
+
+def test_simulate_documents_hash_is_frozen():
+    digest = hashlib.sha256()
+    for name in SINGLE_NAMES + PAIRED_NAMES:
+        for n in (1, 2, 5, 20, 50, 800):
+            for seed in range(6):
+                for policy in DegeneracyPolicy:
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = main(["simulate", "--scenario", name, "--n", str(n),
+                                     "--reps", "200", "--seed", str(seed),
+                                     "--policy", policy.value, "--format", "json"])
+                    assert code == 0
+                    text = re.sub(r'"version": "[^"]*"', '"version": ""', out.getvalue(),
+                                  count=1)
+                    digest.update(text.encode())
+    assert digest.hexdigest() == SIMULATE_DOCUMENTS_SHA256
 
 
 def test_builtin_scenarios_inventory():
