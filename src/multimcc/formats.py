@@ -156,8 +156,57 @@ class ResultDocument:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
 
+# The fast paths accept a common, plainly valid subset of each grammar and
+# return None on anything else; the checked parsers then decide, so every
+# ParseError, with its line and column, comes from the checked parsers.
+#
+# A row of at most 18-digit ASCII cells: each cell is below 10**18, so the
+# int64 conversion cannot overflow.
+_FAST_ROW_RE = re.compile(r"(?:[ \t]*+[0-9]{1,18}+[ \t]*+,)*+[ \t]*+[0-9]{1,18}+[ \t]*+")
+
+
+def _class_labels(header: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in header[len(_LABEL_PREFIX):].split(","))
+
+
 def parse_matrix_csv(text: str) -> ConfusionCounts2:
-    """Parse a square confusion matrix; rows are predictions, columns truth."""
+    """Parse a square confusion matrix; rows are predictions, columns truth.
+
+    A vectorised fast path accepts plain input; it never raises a
+    :class:`ParseError`.  Anything it does not accept goes to the per-cell
+    checked parser, which decides it and raises every error.
+    """
+    accepted = _accepted_matrix(text)
+    return _checked_matrix(text) if accepted is None else accepted
+
+
+def _accepted_matrix(text: str) -> ConfusionCounts2 | None:
+    """The table, if ``text`` is an optional ``# classes:`` first line and
+    square rows of plain digit cells; otherwise None."""
+    labels = None
+    body = text
+    if text.startswith(_LABEL_PREFIX):
+        header, _, body = text.partition("\n")
+        if header.splitlines() != [header]:     # another line break, e.g. \r or \x85
+            return None
+        labels = _class_labels(header.strip())
+    body = body.rstrip("\n")
+    lines = body.split("\n")
+    r = len(lines)
+    if labels is not None and len(labels) != r:
+        return None
+    for line in lines:
+        if line.count(",") != r - 1 or not _FAST_ROW_RE.fullmatch(line):
+            return None
+    # The cells were matched above, so the text parser reads each in full.
+    cells = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",")
+    if int(cells.max()) * cells.size > MAX_COUNT:   # the total might not fit
+        return None
+    return ConfusionCounts2(cells.reshape(r, r), labels=labels)
+
+
+def _checked_matrix(text: str) -> ConfusionCounts2:
+    """The per-cell parser: decides any text and locates every error."""
     labels: tuple[str, ...] | None = None
     rows: list[list[int]] = []
     row_lines: list[int] = []
@@ -178,7 +227,7 @@ def parse_matrix_csv(text: str) -> ConfusionCounts2:
                 raise ParseError("malformed_document",
                                  "class header must come before the matrix rows",
                                  line=lineno)
-            labels = tuple(part.strip() for part in line[len(_LABEL_PREFIX):].split(","))
+            labels = _class_labels(line)
             continue
         cells = []
         for colno, cell in enumerate(line.split(","), start=1):
@@ -238,8 +287,21 @@ def parse_joint_json(text: str) -> JointCounts3:
     """Parse a sparse joint table document into dense counts.
 
     Expected shape: ``{"r": int, "labels": [...], "counts": [[i, j, k, count],
-    ...]}`` with 1-based indices; cells not listed are zero.
+    ...]}`` with 1-based indices; cells not listed are zero.  A vectorised
+    fast path accepts plain entries; it never raises a :class:`ParseError`.
+    Entries it does not accept go to the per-entry checked parser, which
+    decides them and raises every error.
     """
+    r, entries, labels = _joint_document(text)
+    cells = _accepted_joint_cells(text, entries, r)
+    if cells is None:
+        cells = _checked_joint_cells(entries, r)
+    cells.flags.writeable = False      # handed to the table without a copy
+    return JointCounts3(cells, labels=labels)
+
+
+def _joint_document(text: str) -> tuple[int, list, tuple[str, ...] | None]:
+    """``r``, the raw entries and the labels of a joint table document."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -263,6 +325,36 @@ def parse_joint_json(text: str) -> JointCounts3:
                 or not all(isinstance(x, str) for x in labels)):
             raise ParseError("malformed_document", f"'labels' must list {r} strings")
         labels = tuple(labels)
+    return r, entries, labels
+
+
+def _accepted_joint_cells(text: str, entries: list, r: int) -> np.ndarray | None:
+    """The dense cube, if every entry is four int64 integers, in range, with a
+    non-negative count, no cell is listed twice and the total surely fits;
+    otherwise None."""
+    if "true" in text or "false" in text:   # np.array would read true as 1
+        return None
+    try:
+        stacked = np.array(entries)
+    except (ValueError, OverflowError):     # ragged or nested entries
+        return None
+    # Floats, strings, nulls and integers past int64 give another dtype.
+    if stacked.dtype != np.int64 or stacked.ndim != 2 or stacked.shape[1] != 4:
+        return None
+    index, count = stacked[:, :3], stacked[:, 3]
+    if index.min() < 1 or index.max() > r or count.min() < 0:
+        return None
+    flat = (index - 1) @ np.array([r * r, r, 1])
+    ordered = np.sort(flat)
+    if np.any(ordered[1:] == ordered[:-1]) or int(count.max()) * count.size > MAX_COUNT:
+        return None
+    cells = np.zeros((r, r, r), dtype=np.int64)
+    np.put(cells, flat, count)
+    return cells
+
+
+def _checked_joint_cells(entries: list, r: int) -> np.ndarray:
+    """The per-entry parser: decides any entries and names every error."""
     cells = np.zeros((r, r, r), dtype=np.int64)
     seen: set[tuple[int, int, int]] = set()
     total = 0
@@ -276,8 +368,7 @@ def parse_joint_json(text: str) -> JointCounts3:
         if total > MAX_COUNT:
             raise _count_overflow(f"counts[{position}]: ")
         cells[i - 1, j - 1, k - 1] = count
-    cells.flags.writeable = False      # handed to the table without a copy
-    return JointCounts3(cells, labels=labels)
+    return cells
 
 
 def _finite_or_none(x: float) -> float | None:

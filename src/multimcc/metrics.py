@@ -88,7 +88,7 @@ def _store_counts(table, cells: np.ndarray, what: str) -> None:
 
 def _checked_probabilities(pi: np.ndarray) -> np.ndarray:
     """``pi``, frozen, once its cells lie in [0, 1] and sum to 1."""
-    if np.any(pi < 0.0) or np.any(pi > 1.0):
+    if not (pi.min() >= 0.0 and pi.max() <= 1.0):     # written so that a NaN fails
         raise ValidationError("cell probabilities must lie in [0, 1]")
     total = float(pi.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:

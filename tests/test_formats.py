@@ -21,6 +21,7 @@ from multimcc import (
     scenario_by_name,
     single_inference,
 )
+from multimcc import formats
 from multimcc.formats import (
     ResultDocument,
     RunConfig,
@@ -206,6 +207,40 @@ def test_joint_json_round_trip_through_inference():
     assert math.isclose(micro_mcc(marginalize(p3, 1)), 0.40, abs_tol=EXACT_TOL)
     result = paired_inference(counts, MetricKind.MICRO)
     assert math.isclose(result.difference, 0.0, abs_tol=EXACT_TOL)
+
+
+def test_fast_paths_parse_large_and_fixture_inputs_alone(monkeypatch):
+    """Inputs shaped like the benchmark's large tables and the bundled
+    fixtures parse, to the checked parsers' tables, with those parsers off."""
+    rng = np.random.default_rng(20261020)
+    grid = rng.poisson(17.0, size=(240, 240))
+    r = 64
+    cube = np.zeros(r ** 3, dtype=np.int64)
+    cube[rng.choice(r ** 3, size=22_000, replace=False)] = rng.integers(1, 40, size=22_000)
+    cube = cube.reshape(r, r, r)
+    entries = np.column_stack([np.argwhere(cube) + 1, cube[cube > 0]]).tolist()
+    csv_texts = ["\n".join(",".join(map(str, row)) for row in grid.tolist()) + "\n",
+                 (DATA / "frcnn.csv").read_text(), (DATA / "bcd.csv").read_text()]
+    joint_texts = [json.dumps({"r": r, "counts": entries}),
+                   (DATA / "joint_example.json").read_text()]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(formats, "_accepted_matrix", lambda text: None)
+        patched.setattr(formats, "_accepted_joint_cells", lambda *args: None)
+        want = [parse_matrix_csv(text) for text in csv_texts]
+        want += [parse_joint_json(text) for text in joint_texts]
+    assert np.array_equal(want[0].cells, grid) and np.array_equal(want[3].cells, cube)
+
+    def refuse(*args):
+        raise AssertionError("the fast path declined a plain input")
+
+    monkeypatch.setattr(formats, "_checked_matrix", refuse)
+    monkeypatch.setattr(formats, "_checked_joint_cells", refuse)
+    got = [parse_matrix_csv(text) for text in csv_texts]
+    got += [parse_joint_json(text) for text in joint_texts]
+    for table, expected in zip(got, want):
+        assert np.array_equal(table.cells, expected.cells)
+        assert table.labels == expected.labels
 
 
 def test_run_config_validation():

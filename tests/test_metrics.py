@@ -93,6 +93,12 @@ def test_prob_table_rejects_negative_probability():
         ProbTable2(np.array([[0.6, -0.1], [0.3, 0.2]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_prob_table_rejects_nan_and_infinite_cells(bad):
+    with pytest.raises(ValidationError, match=r"^cell probabilities must lie in \[0, 1\]$"):
+        ProbTable2(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 def test_normalize_counts_matches_manual_division():
     counts = ConfusionCounts2(BALANCED_COUNTS)
     p = normalize_counts(counts)

@@ -108,6 +108,13 @@ def test_joint_prob_table_rejects_bad_sum():
         ProbTable3(np.full((2, 2, 2), 0.25))
 
 
+def test_joint_prob_table_rejects_nan_cell():
+    cube = np.full((2, 2, 2), 0.125)
+    cube[1, 0, 1] = math.nan
+    with pytest.raises(ValidationError, match=r"^cell probabilities must lie in \[0, 1\]$"):
+        ProbTable3(cube)
+
+
 def test_marginalize_hand_sums():
     cube = np.arange(8, dtype=float).reshape(2, 2, 2)
     cube /= cube.sum()

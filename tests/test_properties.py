@@ -1,13 +1,15 @@
-"""Property tests: the parsers raise only the package's own errors, the
-command line exits only with its documented codes, intervals bracket their
-estimates inside the transformed ranges, and the estimates do not depend on
-how the classes are numbered or which axis holds the truth."""
+"""Property tests: the parsers raise only the package's own errors, their
+fast paths agree with the checked parsers, the command line exits only with
+its documented codes, intervals bracket their estimates inside the
+transformed ranges, and the estimates do not depend on how the classes are
+numbered or which axis holds the truth."""
 
 import contextlib
 import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from multimcc import (
     paired_inference,
     single_inference,
 )
+from multimcc import formats
 from multimcc.cli import main
 from multimcc.inference import _BOUND_SLACK
 from multimcc.formats import parse_joint_json, parse_matrix_csv
@@ -74,6 +77,149 @@ def test_matrix_csv_raises_only_mcc_errors(text):
 @example("[" * 200_000)
 def test_joint_json_raises_only_mcc_errors(text):
     parses_or_raises_mcc_error(parse_joint_json, text)
+
+
+def parse_outcome(parser, text):
+    """The parsed cells and labels, or the error's type, code, place and text."""
+    try:
+        table = parser(text)
+    except MccError as exc:
+        return (type(exc), getattr(exc, "code", None), getattr(exc, "line", None),
+                getattr(exc, "column", None), str(exc))
+    return table.cells.tolist(), table.labels
+
+
+def checked_outcome(parser, fast_path, text):
+    """:func:`parse_outcome` with the fast path declining every input."""
+    with mock.patch.object(formats, fast_path, lambda *args: None):
+        return parse_outcome(parser, text)
+
+
+# Irregularities the fast paths must leave to the checked parsers.
+ODD_CELLS = ("+5", "-0", "-3", "1.0", "x", "", "1 2", "\u0663", "\uff11", "6\x1c", "\x0c7",
+             "8\u00a0", "999999999999999999", "0000000000000000004",
+             "99999999999999999999")
+ODD_ROW_BREAKS = ("\r\n", "\n\n", "\n \n", "\x0c", "\x1c", "\u2028", "\n# c\n")
+
+
+@st.composite
+def csv_texts(draw):
+    """Square grids of plain counts, about half with one irregularity."""
+    r = draw(st.integers(min_value=1, max_value=5))
+    pad = st.sampled_from(["", "", " ", "\t"])
+    rows = [[draw(pad) + str(draw(st.integers(min_value=0, max_value=999)))
+             + draw(pad) for _ in range(r)] for _ in range(r)]
+    labels = ",".join(f" c{i}" for i in range(r))
+    header = draw(st.sampled_from(["", f"# classes:{labels}\n"]))
+    breaks = ["\n"] * (r - 1)
+    odd = draw(st.sampled_from(["none"] * 4 + ["cell", "ragged", "header", "break"]))
+    i = draw(st.integers(min_value=0, max_value=r - 1))
+    if odd == "cell":
+        rows[i][draw(st.integers(min_value=0, max_value=r - 1))] = draw(
+            st.sampled_from(ODD_CELLS))
+    elif odd == "ragged":
+        rows[i] = rows[i][1:] if draw(st.booleans()) else rows[i] + ["1"]
+    elif odd == "header":
+        header = draw(st.sampled_from([f"# classes:{labels},z\n", f"# classes:{labels}\r\n",
+                                       f"\n# classes:{labels}\n", "# labels: a\n"]))
+    elif odd == "break" and r > 1:
+        breaks[i % (r - 1)] = draw(st.sampled_from(ODD_ROW_BREAKS))
+    body = ",".join(rows[0])
+    for brk, row in zip(breaks, rows[1:]):
+        body += brk + ",".join(row)
+    return header + body + draw(st.sampled_from(["", "\n", "\n\n", "\n \n"]))
+
+
+ODD_JOINT_VALUES = (True, False, None, 1.0, 2.5, "1", [1], -1, 0, 2 ** 63, 2 ** 64)
+
+
+@st.composite
+def joint_texts(draw):
+    """Valid sparse joint documents, about half with one irregularity."""
+    r = draw(st.integers(min_value=2, max_value=3))
+    index = st.integers(min_value=1, max_value=r)
+    cells = draw(st.dictionaries(st.tuples(index, index, index),
+                                 st.integers(min_value=0, max_value=2 ** 62), min_size=1,
+                                 max_size=6))
+    entries = [list(cell) + [count] for cell, count in cells.items()]
+    doc = {"r": r, "counts": entries}
+    if draw(st.booleans()):
+        doc["labels"] = [f"c{i}" for i in range(r)]
+    odd = draw(st.sampled_from(["none"] * 4 + ["value", "duplicate", "shape", "document"]))
+    entry = entries[draw(st.integers(min_value=0, max_value=len(entries) - 1))]
+    if odd == "value":
+        entry[draw(st.integers(min_value=0, max_value=3))] = draw(
+            st.sampled_from(ODD_JOINT_VALUES))
+    elif odd == "duplicate":
+        entries.append(entry[:3] + [draw(st.integers(min_value=0, max_value=9))])
+    elif odd == "shape" and draw(st.booleans()):
+        entry.append(1)
+    elif odd == "shape":
+        entry.pop()
+    elif odd == "document":
+        doc.update(draw(st.sampled_from([{"r": True}, {"r": r + 1}, {"counts": []},
+                                         {"labels": ["true"] * r}])))
+    return json.dumps(doc)
+
+
+@PROPERTY_SETTINGS
+@given(csv_texts() | st.text())
+@example("1,2\n3,4.0\n")                          # a float
+@example("1,2\n3,99999999999999999999\n")         # past int64
+@example("1,2\n3,0000000000000000004\n")          # 19 digits that fit
+@example("1,2,3\n4\n")                            # r**2 cells, ragged
+@example("1,0\n# classes: a,b\n0,1\n")            # a header after a row
+@example("999999999999999999,0,0,0\n0,0,0,0\n0,0,0,0\n0,0,0,1\n")   # bound fails
+@example(("999999999999999999," * 3 + "999999999999999999\n") * 4)   # the total overflows
+@example("9999999999999999999,0\n0,1\n")          # 19 digits past int64
+@example("9999999999999999999\n")
+@example("+5,0\n0,1\n")
+@example("-0,1\n1,0\n")
+@example("\u0661,0\n0,1\n")                        # Unicode decimal digits
+@example("\u0661,0\n0,\uff11\n")
+@example("1,0\r\n0,1\r\n")
+@example("1,0\x0c0,1\n")
+@example("1\x0c,0\n0,\x1c1\n")
+@example("1,\u00a00\n0,1\n")
+@example("# classes: a, b\n1, 2\n3,\t4\n")
+@example("# classes: a,b,c\n1,0\n0,1\n")
+@example("# classes: a\x85b, c\n1,0\n0,1\n")         # a line break inside the header
+@example("1,0\n\n0,1\n")
+@example("1,2\n3,4")
+@example("7\n")
+@example("0,0\n0,0\n")
+def test_matrix_csv_fast_path_agrees_with_the_checked_parser(text):
+    assert (parse_outcome(parse_matrix_csv, text)
+            == checked_outcome(parse_matrix_csv, "_accepted_matrix", text))
+
+
+@PROPERTY_SETTINGS
+@given(joint_texts() | st.text())
+@example('{"r": 2, "counts": [[1, 1, 1, 5], [2, 2, 2, true]]}')     # a bool
+@example('{"r": 2, "counts": [[true, 1, 1, 5]]}')
+@example('{"r": 2, "counts": [[1, 1, 1, 2.0]]}')                   # a float
+@example('{"r": 2, "counts": [[1, 1, 1, 9223372036854775808]]}')   # past int64
+@example('{"r": 2, "counts": [[1, 1, 1, 99999999999999999999], [2, 2, 2, 1]]}')
+@example('{"r": 2, "counts": [[1, 1, 1], [1, 1, 1, 1]]}')          # ragged
+@example('{"r": 2, "counts": [[1, 1, 1, [1]]]}')                   # nested
+@example('{"r": 2, "counts": [[[1], [1], [1], [1]]]}')
+@example('{"r": 2, "counts": [' + "[" * 70 + "1" + "]" * 70 + "]}")   # past numpy's 64 dims
+@example('{"r": 2, "counts": [[1, 1, 1, 4611686018427387904], [2, 2, 2, 1]]}')  # bound fails
+@example('{"r": 2, "counts": [[1, 1, 1, 4611686018427387904], [2, 2, 2, '
+         '4611686018427387904]]}')                                 # the total overflows
+@example('{"r": 2, "counts": [[1, 1, 1, 5], [1, 1, 1, 6]]}')       # a duplicate cell
+@example('{"r": 2, "counts": [[1, 1, 1, 0], [2, 2, 2, 3], [1, 1, 1, 0]]}')
+@example('{"r": 2, "counts": [[0, 1, 1, 5]]}')                     # out of range
+@example('{"r": 2, "counts": [[1, 1, 3, 5]]}')
+@example('{"r": 2, "counts": [[1, 1, 1, -5]]}')                    # a negative count
+@example('{"r": 2, "counts": [[1, 1, 1, -0], [2, 2, 2, 1]]}')
+@example('{"r": 2, "counts": []}')
+@example('{"r": true, "counts": [[1, 1, 1, 1]]}')
+@example('{"r": 2, "labels": ["true", "false"], "counts": [[1, 2, 1, 3]]}')
+@example('{"r": 2, "counts": [[1, 1, 1, 0]]}')
+def test_joint_json_fast_path_agrees_with_the_checked_parser(text):
+    assert (parse_outcome(parse_joint_json, text)
+            == checked_outcome(parse_joint_json, "_accepted_joint_cells", text))
 
 
 small_grids = st.integers(min_value=2, max_value=4).flatmap(
