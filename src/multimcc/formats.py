@@ -156,13 +156,10 @@ class ResultDocument:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
 
-# The fast paths accept a common, plainly valid subset of each grammar and
-# return None on anything else; the checked parsers then decide, so every
-# ParseError, with its line and column, comes from the checked parsers.
-#
-# A row of at most 18-digit ASCII cells: each cell is below 10**18, so the
-# int64 conversion cannot overflow.
-_FAST_ROW_RE = re.compile(r"(?:[ \t]*+[0-9]{1,18}+[ \t]*+,)*+[ \t]*+[0-9]{1,18}+[ \t]*+")
+# At most 18 digits per cell keeps each cell below 10**18, so the int64
+# conversion cannot overflow.  Blanks, digits and commas are disjoint, so the
+# greedy quantifiers cannot backtrack badly.
+_FAST_ROW_RE = re.compile(r"(?:[ \t]*[0-9]{1,18}[ \t]*,)*[ \t]*[0-9]{1,18}[ \t]*")
 
 
 def _class_labels(header: str) -> tuple[str, ...]:

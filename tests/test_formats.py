@@ -243,6 +243,14 @@ def test_fast_paths_parse_large_and_fixture_inputs_alone(monkeypatch):
         assert table.labels == expected.labels
 
 
+@pytest.mark.parametrize("pattern", [formats._INT_RE, formats._FAST_ROW_RE])
+def test_cell_patterns_use_no_python_3_11_syntax(pattern):
+    """Possessive quantifiers and atomic groups need Python 3.11; the package
+    supports 3.10, where such a pattern fails at import."""
+    for newer in ("*+", "++", "?+", "}+", "(?>"):
+        assert newer not in pattern.pattern
+
+
 def test_run_config_validation():
     with pytest.raises(ValidationError):
         RunConfig("analyze")
