@@ -26,7 +26,7 @@ from . import __version__
 from .errors import DegenerateMarginalError, ParseError, ValidationError
 from .inference import CIMethod, _table_inference
 from .metrics import ConfusionCounts2, MetricKind, normalize_counts
-from .paired import _joint_inference, _joint_marginals, normalize_joint_counts
+from .paired import _joint_inference, _joint_marginals
 from .formats import (
     METRIC_TOKENS,
     RunConfig,
@@ -52,8 +52,12 @@ __all__ = ["main", "build_parser"]
 
 SEED_ENV_VAR = "MCC_SEED"
 
-_SINGLE_CI_TOKENS = {"wald": CIMethod.WALD, "fisher-z": CIMethod.FISHER_Z}
-_PAIRED_CI_TOKENS = {"wald": CIMethod.WALD_DIFF, "g": CIMethod.G_TRANSFORM}
+# --ci token -> interval method; on a paired design "wald" is WALD_DIFF.
+_CI_METHODS = {"wald": CIMethod.WALD, "fisher-z": CIMethod.FISHER_Z, "g": CIMethod.G_TRANSFORM}
+
+
+def _ci_method(token: str, paired: bool) -> CIMethod:
+    return CIMethod.WALD_DIFF if paired and token == "wald" else _CI_METHODS[token]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,7 +172,7 @@ def cmd_estimate(config: RunConfig) -> int:
     if config.transpose:
         counts = ConfusionCounts2(counts.cells.T, labels=counts.labels)
     # Normalized once; every metric runs on the same table.
-    p, n, method = normalize_counts(counts), counts.n, _SINGLE_CI_TOKENS[config.ci]
+    p, n, method = normalize_counts(counts), counts.n, _ci_method(config.ci, False)
     intervals = {MetricKind(token): _table_inference(p, n, MetricKind(token), method,
                                                      config.alpha)
                  for token in config.metrics}
@@ -183,8 +187,8 @@ def cmd_estimate(config: RunConfig) -> int:
 def cmd_paired_diff(config: RunConfig) -> int:
     counts = parse_joint_json(_read_input(config.input_path))
     # Normalized and marginalized once; every metric runs on the same tables.
-    p3 = normalize_joint_counts(counts)
-    marginals, method = _joint_marginals(p3.pi[None]), _PAIRED_CI_TOKENS[config.ci]
+    p3 = normalize_counts(counts)
+    marginals, method = _joint_marginals(p3.pi[None]), _ci_method(config.ci, True)
     results = {MetricKind(token): _joint_inference(p3, marginals, counts.n, MetricKind(token),
                                                    method, config.alpha, config.independent)
                for token in config.metrics}
@@ -198,18 +202,11 @@ def cmd_paired_diff(config: RunConfig) -> int:
 
 def cmd_simulate(config: RunConfig) -> int:
     scenario = scenario_by_name(config.scenario)
-    token_map = (_SINGLE_CI_TOKENS if scenario.kind is ScenarioKind.SINGLE
-                 else _PAIRED_CI_TOKENS)
-    if config.ci == "all":
-        tokens = tuple(token_map)
-    else:
-        tokens = config.ci.split(",")
-        for token in tokens:
-            if token not in token_map:
-                raise ValidationError(
-                    f"interval method {token!r} does not apply to a "
-                    f"{scenario.kind.value} scenario")
-    cells = [(MetricKind(m), token_map[t]) for m in config.metrics for t in tokens]
+    paired = scenario.kind is ScenarioKind.PAIRED
+    # run_coverage_grid rejects a method that does not apply to the design.
+    tokens = (("wald", "g" if paired else "fisher-z") if config.ci == "all"
+              else config.ci.split(","))
+    cells = [(MetricKind(m), _ci_method(t, paired)) for m in config.metrics for t in tokens]
     results = run_coverage_grid(scenario, config.n, config.reps, cells,
                                 config.alpha, config.seed,
                                 DegeneracyPolicy(config.policy), config.workers)

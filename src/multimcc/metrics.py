@@ -13,6 +13,13 @@ classes:
   indicators divided by the product of their standard deviations, the
   correlation-style generalization with the full [-1, 1] range.
 
+The tables are written once for both designs, parameterised by rank:
+``ConfusionCounts2``/``ProbTable2`` are the rank-2 tables of one classifier
+and ``JointCounts3``/``ProbTable3`` (exported by :mod:`multimcc.paired`) the
+rank-3 joint tables of two.  A rank sets only the shape rule, the class
+limit and the noun in the error texts.  A counts table sums its total ``n``
+once, at construction, and :func:`normalize_counts` takes either rank.
+
 All operations are pure functions over immutable tables and are safe to share
 across threads.
 """
@@ -22,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -42,83 +49,109 @@ __all__ = [
     "estimate",
 ]
 
-# Dense r*r (and r**3 in the paired module) storage stops being sane past this.
+# Dense r*r storage stops being sane past this.
 MAX_CLASSES = 1000
+# 8 bytes * 200**3 = 64 MB: the dense r**3 representation stops here.
+MAX_JOINT_CLASSES = 200
 
 PROB_SUM_TOL = 1e-12
 
+# Rank -> shape rule, qualifier of the table's noun, name of the class limit
+# and the limit: all that the tables of one rank do differently in validation.
+_RANKS = {2: ("a square matrix", "", "dense-table", MAX_CLASSES),
+          3: ("an r*r*r array", "joint ", "dense joint-table", MAX_JOINT_CLASSES)}
 
-def _checked_square(cells: np.ndarray, what: str) -> np.ndarray:
-    if cells.ndim != 2 or cells.shape[0] != cells.shape[1]:
-        raise ValidationError(f"{what} must be a square matrix, got shape {cells.shape}")
+
+def _checked_shape(cells: np.ndarray, rank: int, noun: str) -> np.ndarray:
+    """``cells`` once it is an r**rank array with 2 <= r <= the rank's class limit."""
+    rule, joint, dense, limit = _RANKS[rank]
+    what = f"a {joint}{noun}"
+    if cells.ndim != rank or len(set(cells.shape)) != 1:
+        raise ValidationError(f"{what} must be {rule}, got shape {cells.shape}")
     r = cells.shape[0]
     if r < 2:
         raise ValidationError(f"{what} needs at least 2 classes, got {r}")
-    if r > MAX_CLASSES:
-        raise ValidationError(f"{what} with r={r} exceeds the dense-table limit of {MAX_CLASSES}")
+    if r > limit:
+        raise ValidationError(f"{what} with r={r} exceeds the {dense} limit of {limit}")
     return cells
 
 
-def _store_counts(table, cells: np.ndarray, what: str) -> None:
-    """Validate whole non-negative counts and set them, frozen, on ``table`` with its labels.
-
-    A read-only int64 array that owns its memory, as the parsers hand over,
-    is kept; anything else is copied, so a caller's array never becomes
-    read-only.
-    """
-    if not np.issubdtype(cells.dtype, np.integer):
-        as_float = np.asarray(cells, dtype=float)
-        if not np.all(np.isfinite(as_float)) or np.any(as_float != np.floor(as_float)):
-            raise ValidationError("counts must be whole numbers")
-        cells = as_float
-    if cells.dtype != np.int64 or cells.flags.writeable or not cells.flags.owndata:
-        cells = cells.astype(np.int64)
-    if np.any(cells < 0):
-        raise ValidationError("counts must be non-negative")
-    if int(cells.sum()) < 1:
-        raise ZeroTotalError(f"{what} is all zeros")
-    cells.flags.writeable = False
-    object.__setattr__(table, "cells", cells)
-    if table.labels is not None:
-        labels = tuple(str(x) for x in table.labels)
-        if len(labels) != cells.shape[0]:
-            raise ValidationError(f"expected {cells.shape[0]} class labels, got {len(labels)}")
-        object.__setattr__(table, "labels", labels)
-
-
-def _checked_probabilities(pi: np.ndarray) -> np.ndarray:
-    """``pi``, frozen, once its cells lie in [0, 1] and sum to 1."""
-    if not (pi.min() >= 0.0 and pi.max() <= 1.0):     # written so that a NaN fails
-        raise ValidationError("cell probabilities must lie in [0, 1]")
-    total = float(pi.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValidationError(f"cell probabilities sum to {total!r}, not 1")
-    pi.flags.writeable = False
-    return pi
-
-
 @dataclass(frozen=True, eq=False)
-class ConfusionCounts2:
-    """Raw confusion counts; rows index predictions, columns index truth."""
+class _Counts:
+    """Whole non-negative counts of an r**rank table, frozen, and their total ``n``.
+
+    ``n`` is summed once, at construction.  A read-only int64 array that owns
+    its memory, as the parsers hand over, is kept; anything else is copied, so
+    a caller's array never becomes read-only.
+    """
 
     cells: np.ndarray
     labels: tuple[str, ...] | None = None
+    _rank: ClassVar[int]
 
     def __post_init__(self) -> None:
-        _store_counts(self, _checked_square(np.asarray(self.cells), "a counts table"),
-                      "counts table")
+        cells = _checked_shape(np.asarray(self.cells), self._rank, "counts table")
+        if not np.issubdtype(cells.dtype, np.integer):
+            as_float = np.asarray(cells, dtype=float)
+            if not np.all(np.isfinite(as_float)) or np.any(as_float != np.floor(as_float)):
+                raise ValidationError("counts must be whole numbers")
+            cells = as_float
+        if cells.dtype != np.int64 or cells.flags.writeable or not cells.flags.owndata:
+            cells = cells.astype(np.int64)
+        if np.any(cells < 0):
+            raise ValidationError("counts must be non-negative")
+        n = int(cells.sum())
+        if n < 1:
+            raise ZeroTotalError(f"{_RANKS[self._rank][1]}counts table is all zeros")
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "n", n)
+        if self.labels is not None:
+            labels = tuple(str(x) for x in self.labels)
+            if len(labels) != cells.shape[0]:
+                raise ValidationError(f"expected {cells.shape[0]} class labels, got {len(labels)}")
+            object.__setattr__(self, "labels", labels)
 
     @property
     def r(self) -> int:
         return int(self.cells.shape[0])
 
-    @property
-    def n(self) -> int:
-        return int(self.cells.sum())
+
+class ConfusionCounts2(_Counts):
+    """Raw confusion counts; rows index predictions, columns index truth."""
+
+    _rank = 2
+
+
+class JointCounts3(_Counts):
+    """Joint counts; axes are (method-1 prediction, method-2 prediction, truth)."""
+
+    _rank = 3
 
 
 @dataclass(frozen=True, eq=False)
-class ProbTable2:
+class _ProbTable:
+    """Cell probabilities of an r**rank table, frozen once they lie in [0, 1] and sum to 1."""
+
+    pi: np.ndarray
+    _rank: ClassVar[int]
+
+    def __post_init__(self) -> None:
+        pi = _checked_shape(np.array(self.pi, dtype=float), self._rank, "probability table")
+        if not (pi.min() >= 0.0 and pi.max() <= 1.0):     # written so that a NaN fails
+            raise ValidationError("cell probabilities must lie in [0, 1]")
+        total = float(pi.sum())
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValidationError(f"cell probabilities sum to {total!r}, not 1")
+        pi.flags.writeable = False
+        object.__setattr__(self, "pi", pi)
+
+    @property
+    def r(self) -> int:
+        return int(self.pi.shape[0])
+
+
+class ProbTable2(_ProbTable):
     """Joint cell probabilities of a prediction/truth table.
 
     Row and column marginals are computed once at construction and exposed as
@@ -126,22 +159,22 @@ class ProbTable2:
     distribution).
     """
 
-    pi: np.ndarray
+    _rank = 2
 
     def __post_init__(self) -> None:
-        pi = _checked_probabilities(
-            _checked_square(np.array(self.pi, dtype=float), "a probability table"))
-        row = pi.sum(axis=1)
-        col = pi.sum(axis=0)
+        super().__post_init__()
+        row = self.pi.sum(axis=1)
+        col = self.pi.sum(axis=0)
         row.flags.writeable = False
         col.flags.writeable = False
-        object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "row_marginals", row)
         object.__setattr__(self, "col_marginals", col)
 
-    @property
-    def r(self) -> int:
-        return int(self.pi.shape[0])
+
+class ProbTable3(_ProbTable):
+    """Joint cell probabilities over (method-1 prediction, method-2 prediction, truth)."""
+
+    _rank = 3
 
 
 class MetricKind(enum.Enum):
@@ -152,11 +185,10 @@ class MetricKind(enum.Enum):
     MICRO_STAR = "mim-star"
 
 
-def normalize_counts(counts: ConfusionCounts2) -> ProbTable2:
-    """Maximum-likelihood cell probabilities: each count divided by the total."""
-    if counts.n == 0:
-        raise ZeroTotalError("cannot normalize a table with zero total")
-    return ProbTable2(counts.cells / counts.n)
+def normalize_counts(counts: ConfusionCounts2 | JointCounts3) -> ProbTable2 | ProbTable3:
+    """Maximum-likelihood cell probabilities of a table of either rank: each count over ``n``."""
+    table = ProbTable2 if isinstance(counts, ConfusionCounts2) else ProbTable3
+    return table(counts.cells / counts.n)
 
 
 def binary_mcc(p: ProbTable2) -> float:

@@ -2,9 +2,14 @@
 
 The joint outcome of one subject is a triple (method-1 prediction, method-2
 prediction, truth), so the data form an r*r*r table with cells
-``pi[i, j, k] = P(X1 = i, X2 = j, Y = k)``.  Each method's own confusion
-table is a linear marginal of the joint table (sum out the other method's
-axis), which has two consequences used throughout:
+``pi[i, j, k] = P(X1 = i, X2 = j, Y = k)``.  ``JointCounts3`` and
+``ProbTable3`` are the rank-3 tables of :mod:`multimcc.metrics`, re-exported
+here: one implementation serves both ranks, and ``normalize_joint_counts`` is
+:func:`~multimcc.metrics.normalize_counts` itself.
+
+Each method's own confusion table is a linear marginal of the joint table
+(sum out the other method's axis), which has two consequences used
+throughout:
 
 * a metric of method m is the single-table metric composed with a linear
   map, so its gradient in the joint cells is the r*r gradient of the
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMarginalError, ValidationError, ZeroTotalError
+from .errors import DegenerateMarginalError, ValidationError
 from .inference import (
     VARIANCE_CLAMP,
     CIMethod,
@@ -41,12 +46,14 @@ from .inference import (
     _wald_ci,
 )
 from .metrics import (
+    MAX_JOINT_CLASSES,
+    JointCounts3,
     MetricKind,
     ProbTable2,
-    _checked_probabilities,
+    ProbTable3,
     _estimate_stack,
     _stack_marginals,
-    _store_counts,
+    normalize_counts,
 )
 
 __all__ = [
@@ -64,58 +71,9 @@ __all__ = [
     "paired_inference",
 ]
 
-# 8 bytes * 200**3 = 64 MB: the dense r**3 representation stops here.
-MAX_JOINT_CLASSES = 200
+normalize_joint_counts = normalize_counts
 
 CS_SLACK = 1e-10
-
-
-def _checked_cube(cells: np.ndarray, what: str) -> np.ndarray:
-    if cells.ndim != 3 or len(set(cells.shape)) != 1:
-        raise ValidationError(f"{what} must be an r*r*r array, got shape {cells.shape}")
-    r = cells.shape[0]
-    if r < 2:
-        raise ValidationError(f"{what} needs at least 2 classes, got {r}")
-    if r > MAX_JOINT_CLASSES:
-        raise ValidationError(
-            f"{what} with r={r} exceeds the dense joint-table limit of {MAX_JOINT_CLASSES}")
-    return cells
-
-
-@dataclass(frozen=True, eq=False)
-class JointCounts3:
-    """Joint counts; axes are (method-1 prediction, method-2 prediction, truth)."""
-
-    cells: np.ndarray
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        _store_counts(self, _checked_cube(np.asarray(self.cells), "a joint counts table"),
-                      "joint counts table")
-
-    @property
-    def r(self) -> int:
-        return int(self.cells.shape[0])
-
-    @property
-    def n(self) -> int:
-        return int(self.cells.sum())
-
-
-@dataclass(frozen=True, eq=False)
-class ProbTable3:
-    """Joint cell probabilities over (method-1 prediction, method-2 prediction, truth)."""
-
-    pi: np.ndarray
-
-    def __post_init__(self) -> None:
-        pi = _checked_probabilities(
-            _checked_cube(np.array(self.pi, dtype=float), "a joint probability table"))
-        object.__setattr__(self, "pi", pi)
-
-    @property
-    def r(self) -> int:
-        return int(self.pi.shape[0])
 
 
 @dataclass(frozen=True)
@@ -148,13 +106,6 @@ class PairedResult:
     difference: float
     interval: IntervalEstimate
     block: PairedCovBlock
-
-
-def normalize_joint_counts(counts: JointCounts3) -> ProbTable3:
-    """Maximum-likelihood joint cell probabilities."""
-    if counts.n == 0:
-        raise ZeroTotalError("cannot normalize a table with zero total")
-    return ProbTable3(counts.cells / counts.n)
 
 
 def marginalize(p3: ProbTable3, method: int) -> ProbTable2:
@@ -269,7 +220,7 @@ def paired_inference(counts: JointCounts3, kind: MetricKind,
                      method: CIMethod = CIMethod.WALD_DIFF, alpha: float = 0.05,
                      independent: bool = False) -> PairedResult:
     """Full pipeline from joint counts to a difference interval."""
-    p3 = normalize_joint_counts(counts)
+    p3 = normalize_counts(counts)
     return _joint_inference(p3, _joint_marginals(p3.pi[None]), counts.n, kind, method,
                             alpha, independent)
 

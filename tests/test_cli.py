@@ -245,11 +245,13 @@ def test_unknown_scenario_is_exit_2(capsys):
     assert "unknown scenario" in err
 
 
-def test_single_scenario_rejects_g_interval(capsys):
-    code, _, err = run(capsys, "simulate", "--scenario", "single-1",
-                       "--n", "50", "--reps", "10", "--ci", "g")
+@pytest.mark.parametrize("scenario, ci, kind", [("single-1", "g", "single"),
+                                                 ("paired-1", "fisher-z", "paired")])
+def test_single_scenario_rejects_g_interval(capsys, scenario, ci, kind):
+    code, _, err = run(capsys, "simulate", "--scenario", scenario,
+                       "--n", "50", "--reps", "10", "--ci", ci)
     assert code == 2
-    assert "does not apply" in err
+    assert err == f"error: interval method {ci!r} does not apply to a {kind} scenario\n"
 
 
 def test_bad_alpha_is_exit_2(capsys):
