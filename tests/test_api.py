@@ -112,11 +112,11 @@ def test_table_constructor_error_texts(make, arg, error, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("make, r", [(counts2, 3), (counts3, 2)])
-def test_counts_label_count_error_text(make, r):
+@pytest.mark.parametrize("make, cells", [(counts2, one_hot((3, 3))), (counts3, one_hot((2, 2, 2)))])
+def test_counts_label_count_error_text(make, cells):
     with pytest.raises(ValidationError) as info:
-        make(one_hot((r,) * (2 if make is counts2 else 3)), labels=("only-one",))
-    assert str(info.value) == f"expected {r} class labels, got 1"
+        make(cells, labels=("only-one",))
+    assert str(info.value) == f"expected {cells.shape[0]} class labels, got 1"
 
 
 @pytest.mark.parametrize("module, names", TABLE_EXPORTS.items())
